@@ -15,7 +15,6 @@ from .errors import (
     DegenerateStateError,
     DisjointnessError,
     DomainError,
-    EmptyCellError,
     EmptySwarmError,
     InterferenceConditionError,
     MemoryBudgetError,
@@ -38,12 +37,9 @@ from .lattice import (
 from .frames import Frame, read_frame, write_frame
 from .swarm import (
     PhotonCohort,
-    Sample,
     SampleType,
     SwarmState,
     cancel_pairs,
-    mean_velocity,
-    phase_gradient,
     reconstruct_wavefunction,
     resample,
     sample_from_wavefunction,
@@ -54,7 +50,6 @@ from .dynamics import (
     StepParams,
     calibrated_emission_rate,
     check_meanfield_stability,
-    phase_decomposition,
     step_meanfield,
     step_stochastic,
 )

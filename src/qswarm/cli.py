@@ -8,7 +8,7 @@ Subcommands:
     qswarm bench <config>          O(n N) step-time scaling table
     qswarm compare <A> <B>         density distance of two FRAME files
 
-Common flags: --seed, --out, --mode, --threads.  The default output
+Common flags: --seed, --out, --mode.  The default output
 directory can also be set with the QSWARM_OUT environment variable.
 Reports are plain text, one ``KEY: value`` per line.
 """
@@ -28,7 +28,8 @@ from .dynamics import PotentialField, step_meanfield, step_stochastic
 from .errors import ConfigError, QswarmError
 from .frames import read_frame, write_frame
 from .lattice import FieldGrid, LatticeSpec, relax_to_green
-from .measure import AmplitudeQuantum, measure_swarm, swarm_discrete_state, reduce_state
+from .measure import (AmplitudeQuantum, elementary_event_counts, measure_swarm,
+                      reduce_state, swarm_discrete_state)
 from .oracle import density_error, reference_evolve
 from .scenario import Scenario, build_initial, build_potential, load_scenario_file
 from .swarm import reconstruct_wavefunction, sample_from_wavefunction
@@ -69,7 +70,7 @@ def run(scenario: Scenario, outdir: str) -> dict:
     V = build_potential(scenario)
     p = scenario.step
     mode = scenario.mode
-    every = max(1, scenario.output_every)
+    every = scenario.output_every
 
     frames = 0
     wall = 0.0
@@ -98,9 +99,7 @@ def run(scenario: Scenario, outdir: str) -> dict:
         rng0 = step_rng(scenario.seed, 0)
         deterministic = mode == "meanfield"
         state = sample_from_wavefunction(
-            psi0.psi, spec, scenario.samples, rng0, deterministic=deterministic,
-            momentum_tags=p.drift_rule,
-        )
+            psi0.psi, spec, scenario.samples, rng0, deterministic=deterministic)
         psi, _ = reconstruct_wavefunction(state, "p0")
         emit(0, np.abs(psi) ** 2, 0.0, state)
         t0 = _time.perf_counter()
@@ -128,7 +127,11 @@ def run(scenario: Scenario, outdir: str) -> dict:
 
 
 def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
-    """Repeated position measurement of fresh swarm copies; urn statistics."""
+    """Repeated position measurement of fresh swarm copies; urn statistics.
+
+    Draws are scored against the urn weights l_j / sum(l) that
+    :func:`born_measure` samples, not against the undiscretised |lambda_j|^2.
+    """
     if draws < 1000:
         raise ConfigError("born-test needs draws >= 1000")
     spec = scenario.lattice
@@ -137,8 +140,10 @@ def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
     rng = step_rng(scenario.seed, 0)
     base = sample_from_wavefunction(psi0.psi, spec, scenario.samples, rng,
                                     deterministic=True)
-    theory = np.abs(reduce_state(swarm_discrete_state(base), q).amplitudes) ** 2
-    labels = reduce_state(swarm_discrete_state(base), q).labels
+    reduced = reduce_state(swarm_discrete_state(base), q)
+    labels = reduced.labels
+    events = elementary_event_counts(reduced, q)
+    theory = events / events.sum()
 
     counts: dict[int, int] = {}
     with open(os.path.join(outdir, "meas.log"), "w") as log:
@@ -150,8 +155,7 @@ def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
             log.write(f"MEAS {k} {flat} {pt:.9g}\n")
 
     observed = np.array([counts.get(l, 0) for l in labels], dtype=float)
-    expected = theory / theory.sum() * draws
-    chi2, pval = sstats.chisquare(observed, expected)
+    chi2, pval = sstats.chisquare(observed, theory * draws)
     report = {
         "DRAWS": draws,
         "LABELS": len(labels),
@@ -277,6 +281,8 @@ def _print_report(report: dict) -> None:
 def _load(args) -> Scenario:
     scenario = load_scenario_file(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         scenario.seed = args.seed
     if getattr(args, "mode", None):
         scenario.mode = args.mode
@@ -291,8 +297,6 @@ def main(argv=None) -> int:
     def common(sp, mode_flag=True):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are thread-count independent)")
         if mode_flag:
             sp.add_argument("--mode", choices=("meanfield", "stochastic", "oracle"),
                             default=None)

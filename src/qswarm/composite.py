@@ -69,7 +69,7 @@ class InternalState:
 
 @dataclass
 class ParticleTypeSpec:
-    """Registry entry for a (possibly composite) particle type."""
+    """Entry of the particle-type registry: a (possibly composite) type."""
 
     id: str
     constituents: tuple[str, ...] = ()
@@ -78,9 +78,6 @@ class ParticleTypeSpec:
     @property
     def is_composite(self) -> bool:
         return bool(self.constituents)
-
-
-Registry = dict
 
 
 def _shift(psi: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
@@ -121,7 +118,7 @@ def com_internal(xa, xb, labels=(0, 1)) -> InternalState:
 
 def glue(
     state: SwarmState,
-    registry: Registry,
+    registry: dict,
     a: str,
     b: str,
     internal: InternalState,
@@ -169,7 +166,7 @@ def glue(
 
 def decay(
     state: SwarmState,
-    registry: Registry,
+    registry: dict,
     cid: str,
     rng,
     fraction: float = 1.0,
@@ -219,7 +216,7 @@ def decay(
 
 def measure_correlated(
     state: SwarmState,
-    registry: Registry,
+    registry: dict,
     cid: str,
     q: AmplitudeQuantum,
     rng,

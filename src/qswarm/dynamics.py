@@ -32,8 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, MemoryBudgetError
-from .lattice import Boundary, FieldGrid, LatticeSpec, _inflow, field_laplacian
+from .lattice import FieldGrid, LatticeSpec, _inflow, field_laplacian
 from .swarm import PhotonCohort, SwarmState, cancel_pairs, resample, _stochastic_round
+
+# Cyclic type shifts of a (4, *dims) field: row j of f[_PREV] is f[j-1],
+# row j of f[_NEXT] is f[j+1].
+_PREV = np.array([3, 0, 1, 2])
+_NEXT = np.array([1, 2, 3, 0])
 
 
 @dataclass
@@ -69,12 +74,9 @@ class StepParams:
     p_phot: float = 1.0
     r_emit: float | None = None
     dt_phot: float | None = None
-    drift_rule: bool = False
     A: float | None = None
-    mass: float = 0.5
     max_population: float | None = None
     phase_compensation: bool = True
-    epsilon0_unused: float | None = None  # reserved, free-photon escape not modeled
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -166,18 +168,6 @@ def step_meanfield(s: SwarmState, V: PotentialField, p: StepParams) -> SwarmStat
     return out
 
 
-def phase_decomposition(phi: float | np.ndarray) -> np.ndarray:
-    """Four non-negative type-shift weights (w0, w1, w2, w3) of exp(i*phi).
-
-    w0 - w2 = cos(phi), w1 - w3 = sin(phi); at most one of each opposite
-    pair is nonzero.  Stacked on the first axis for array input.
-    """
-    c, s = np.cos(phi), np.sin(phi)
-    return np.stack(
-        [np.maximum(c, 0.0), np.maximum(s, 0.0), np.maximum(-c, 0.0), np.maximum(-s, 0.0)]
-    )
-
-
 def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, hop: float, rng) -> np.ndarray:
     """Stochastic nearest-neighbor hop of integer per-cell counts."""
     if hop <= 0.0:
@@ -193,43 +183,6 @@ def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, hop: float, rng) -> n
             out += _inflow(moved, axis, step, spec.boundary)
             k += 1
     return out
-
-
-def _emission_velocity(s: SwarmState, pid: str) -> np.ndarray:
-    vc = s.vel_count.get(pid)
-    if vc is None:
-        return np.zeros((s.spec.ndim, *s.spec.dims))
-    safe = np.maximum(vc, 1.0)
-    return s.vel_sum[pid] / safe
-
-
-def _convert_cohort(
-    cohort: PhotonCohort, spec: LatticeSpec, p: StepParams, rng
-) -> np.ndarray:
-    """Particle-field deposit of a cohort reaching its lifetime."""
-    deposit = np.zeros((4, *spec.dims))
-    if p.drift_rule and cohort.velocity is not None:
-        # type shift k with probability from the phase decomposition of
-        # exp(i*delta*m*|v|^2), delta uniform in (0, dt_phot)
-        v2 = (cohort.velocity**2).sum(axis=0)
-        delta = rng.uniform(0.0, p.dt_phot, size=spec.dims)
-        w = phase_decomposition(delta * p.mass * v2)
-        w = w / w.sum(axis=0)
-        flat_w = w.reshape(4, -1).T
-        for j in range(4):
-            n = cohort.counts[j].astype(np.int64).ravel()
-            if not n.any():
-                continue
-            split = np.array(
-                [rng.multinomial(int(ni), pi) for ni, pi in zip(n, flat_w)]
-            )
-            for k in range(4):
-                deposit[(j + k) % 4] += split[:, k].reshape(spec.dims)
-    else:
-        for j in range(4):
-            deposit[(j + 1) % 4] += cohort.counts[j]
-    deposit += cohort.pending
-    return deposit
 
 
 def step_stochastic(
@@ -262,9 +215,10 @@ def step_stochastic(
             counts = np.stack(
                 [_diffuse_counts(cohort.counts[j], spec, p.p_phot, rng) for j in range(4)]
             )
-            cohort = PhotonCohort(counts, cohort.pending, cohort.age + 1, cohort.velocity)
+            cohort = PhotonCohort(counts, cohort.pending, cohort.age + 1)
             if cohort.age >= p.n_age:
-                f += _convert_cohort(cohort, spec, p, rng)
+                # photons of type j convert into particle samples of type j+1
+                f += cohort.counts[_PREV] + cohort.pending
             else:
                 kept.append(cohort)
 
@@ -272,12 +226,9 @@ def step_stochastic(
         lam = f * (r_emit * p.dt)
         emitted = _stochastic_round(lam, rng)
         if emitted.any():
-            pending = np.zeros_like(emitted)
-            if p.phase_compensation and not p.drift_rule:
-                for j in range(4):
-                    pending[(j + 3) % 4] += emitted[j]
-            vel = _emission_velocity(out, pid) if p.drift_rule else None
-            kept.append(PhotonCohort(emitted, pending, 0, vel))
+            # each type-j photon is paired with a type j-1 anti-sample
+            pending = emitted[_NEXT] if p.phase_compensation else np.zeros_like(emitted)
+            kept.append(PhotonCohort(emitted, pending, 0))
         out.photons[pid] = kept
 
         # (d) potential events: type j spawns j-1 where V > 0, its negation

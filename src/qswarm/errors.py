@@ -17,10 +17,6 @@ class EmptySwarmError(DomainError):
     """Operation requires a swarm with at least one sample."""
 
 
-class EmptyCellError(DomainError):
-    """Operation requires a populated cell."""
-
-
 class TotalReductionError(DomainError):
     """Every amplitude fell below the amplitude quantum; the state was annihilated."""
 

@@ -39,7 +39,11 @@ def write_frame(path, values: np.ndarray, time: float) -> None:
 
 
 def read_frame(path) -> Frame:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read FRAME file ({exc.strerror})") from exc
+    with fh:
         header = fh.readline().split()
         if len(header) < 4 or header[0] != "FRAME" or header[1] != "v1":
             raise DomainError(f"{path}: not a FRAME v1 file")
@@ -55,5 +59,10 @@ def read_frame(path) -> Frame:
     n = int(np.prod(dims))
     if len(body) != n:
         raise DomainError(f"{path}: expected {n} values, found {len(body)}")
-    values = np.array([float(x) for x in body]).reshape(dims)
+    try:
+        values = np.array([float(x) for x in body]).reshape(dims)
+    except ValueError as exc:
+        raise DomainError(f"{path}: malformed FRAME value") from exc
+    if not (np.isfinite(time) and np.all(np.isfinite(values))):
+        raise DomainError(f"{path}: FRAME holds a non-finite number")
     return Frame(dims, time, values)

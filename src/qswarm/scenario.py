@@ -21,6 +21,7 @@ the offending line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,13 +100,22 @@ class _Reader:
         if v is None or isinstance(v, (int, float)):
             return v
         try:
-            return float(v)
+            x = float(v)
         except ValueError:
             raise ConfigError(f"{self.name}: key {key!r}: expected a number, got {v!r}")
+        if not math.isfinite(x):
+            raise ConfigError(f"{self.name}: key {key!r}: expected a finite number, got {v!r}")
+        return x
 
-    def get_int(self, key, default=None, required=False):
+    def get_int(self, key, default=None, required=False, minimum=None):
         v = self.get_float(key, default, required)
-        return None if v is None else int(round(v))
+        if v is None:
+            return None
+        if v != int(v):
+            raise ConfigError(f"{self.name}: key {key!r}: expected an integer, got {v!r}")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"{self.name}: key {key!r}: must be >= {minimum}, got {v!r}")
+        return int(v)
 
     def get_bool(self, key, default=False):
         v = self._raw(key, None)
@@ -122,9 +132,12 @@ class _Reader:
         if v is None:
             return default
         try:
-            return tuple(float(x) for x in v.replace(",", " ").split())
+            xs = tuple(float(x) for x in v.replace(",", " ").split())
         except ValueError:
             raise ConfigError(f"{self.name}: key {key!r}: expected numbers, got {v!r}")
+        if not all(map(math.isfinite, xs)):
+            raise ConfigError(f"{self.name}: key {key!r}: expected finite numbers, got {v!r}")
+        return xs
 
     def get_choice(self, key, choices, default=None, required=False):
         v = self._raw(key, default, required)
@@ -149,6 +162,8 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
     dims = r.get_floats("lattice.dims")
     if dims is None:
         raise ConfigError(f"{name}: missing required key 'lattice.dims'")
+    if any(d != int(d) for d in dims):
+        raise ConfigError(f"{name}: key 'lattice.dims': expected integers, got {dims}")
     spec = LatticeSpec(
         tuple(int(d) for d in dims),
         h=r.get_float("lattice.h", 1.0),
@@ -179,16 +194,16 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
         p_phot=r.get_float("step.p_phot", 1.0),
         r_emit=r.get_float("step.r_emit"),
         dt_phot=r.get_float("step.dt_phot"),
-        drift_rule=r.get_bool("step.drift_rule", False),
         A=r.get_float("step.A"),
-        mass=r.get_float("step.mass", 0.5),
         max_population=r.get_float("step.max_population"),
         phase_compensation=r.get_bool("step.phase_compensation", True),
     )
 
     mode = r.get_choice("run.mode", MODES, default="meanfield")
     duration = r.get_float("run.duration")
-    steps = r.get_int("run.steps")
+    if duration is not None and duration < 0:
+        raise ConfigError(f"{name}: key 'run.duration': must be >= 0, got {duration!r}")
+    steps = r.get_int("run.steps", minimum=0)
     if steps is None:
         steps = 0 if duration is None else int(round(duration / step.dt))
 
@@ -200,10 +215,10 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
         potential_params=potential_params,
         step=step,
         mode=mode,
-        seed=r.get_int("run.seed", 0),
+        seed=r.get_int("run.seed", 0, minimum=0),
         steps=steps,
-        samples=r.get_int("run.samples", 100000),
-        output_every=r.get_int("output.every", 1),
+        samples=r.get_int("run.samples", 100000, minimum=1),
+        output_every=r.get_int("output.every", 1, minimum=1),
         output_types=r.get_bool("output.types", False),
         output_pgm=r.get_bool("output.pgm", False),
         raw=cfg,

@@ -7,9 +7,7 @@ is cyclic mod 4.  The complex wave function encoded by a swarm is
     psi = (s1 - s3) + i*(s2 - s4),
 
 up to the stored samples-per-unit-amplitude scale and a global L2
-normalization.  Samples are stored in aggregated (per-cell count) form;
-individual :class:`Sample` records exist only for APIs that need per-sample
-parameters.
+normalization.  Samples are stored in aggregated (per-cell count) form.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DomainError, EmptyCellError, EmptySwarmError
-from .lattice import FieldGrid, LatticeSpec
+from .errors import DomainError, EmptySwarmError
+from .lattice import LatticeSpec
 
 
 class SampleType(IntEnum):
@@ -47,16 +45,6 @@ class SampleType(IntEnum):
 
 
 @dataclass
-class Sample:
-    """One classical sample of a quantum particle."""
-
-    particle: str
-    type: SampleType
-    cell: tuple[int, ...]
-    tag: dict | None = None
-
-
-@dataclass
 class PhotonCohort:
     """Connected-photon samples emitted in one step, tracked until conversion.
 
@@ -64,14 +52,12 @@ class PhotonCohort:
     paired anti-samples created together with the photons (rule-1 pair
     creation); they are deposited into the particle fields at conversion
     time so that the expected net deposit is purely the diffusive part of
-    the photon transport.  ``velocity`` optionally freezes the mean sample
-    velocity of the emitting cells.
+    the photon transport.
     """
 
     counts: np.ndarray  # (4, *dims)
     pending: np.ndarray  # (4, *dims)
     age: int = 0
-    velocity: np.ndarray | None = None  # (ndim, *dims)
 
     def population(self) -> float:
         return float(self.counts.sum())
@@ -85,8 +71,6 @@ class SwarmState:
     fields: dict[str, np.ndarray] = dc_field(default_factory=dict)
     photons: dict[str, list[PhotonCohort]] = dc_field(default_factory=dict)
     scale: dict[str, float] = dc_field(default_factory=dict)
-    vel_sum: dict[str, np.ndarray] = dc_field(default_factory=dict)
-    vel_count: dict[str, np.ndarray] = dc_field(default_factory=dict)
     internal: dict[str, object] = dc_field(default_factory=dict)
     time: float = 0.0
 
@@ -108,8 +92,7 @@ class SwarmState:
         self.photons.setdefault(pid, [])
 
     def remove_particle(self, pid: str) -> None:
-        for d in (self.fields, self.photons, self.scale, self.vel_sum,
-                  self.vel_count, self.internal):
+        for d in (self.fields, self.photons, self.scale, self.internal):
             d.pop(pid, None)
 
     def population(self, pid: str | None = None) -> float:
@@ -125,20 +108,10 @@ class SwarmState:
         out = SwarmState(self.spec, time=self.time)
         out.fields = {k: v.copy() for k, v in self.fields.items()}
         out.photons = {
-            k: [
-                PhotonCohort(
-                    c.counts.copy(),
-                    c.pending.copy(),
-                    c.age,
-                    None if c.velocity is None else c.velocity.copy(),
-                )
-                for c in v
-            ]
+            k: [PhotonCohort(c.counts.copy(), c.pending.copy(), c.age) for c in v]
             for k, v in self.photons.items()
         }
         out.scale = dict(self.scale)
-        out.vel_sum = {k: v.copy() for k, v in self.vel_sum.items()}
-        out.vel_count = {k: v.copy() for k, v in self.vel_count.items()}
         out.internal = dict(self.internal)
         return out
 
@@ -216,23 +189,19 @@ def sample_from_wavefunction(
     rng,
     pid: str = "p0",
     deterministic: bool = False,
-    momentum_tags: bool = False,
-    mass: float = 0.5,
 ) -> SwarmState:
     """Draw a K-sample swarm whose expected reconstruction is ``psi``.
 
     Samples are multinomially distributed over (cell, real/imaginary
     channel) proportionally to |Re psi| + |Im psi|; the channel sign picks
     the sample type.  ``deterministic`` stores the exact expected
-    (fractional) counts instead of drawing.  ``momentum_tags`` attaches the
-    local phase-gradient velocity grad(phase)/mass as per-cell velocity
-    tags.
+    (fractional) counts instead of drawing.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != spec.dims:
         raise DomainError(f"psi shape {psi.shape} does not match lattice {spec.dims}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:
         raise DomainError(f"psi must be L2-normalized, got norm {nrm}")
     if K < 1:
         raise DomainError("sample count K must be >= 1")
@@ -257,42 +226,4 @@ def sample_from_wavefunction(
 
     out = SwarmState(spec)
     out.add_particle(pid, f, scale=K / W)
-    if momentum_tags:
-        grad = phase_gradient(psi, spec)
-        count = f.sum(axis=0)
-        out.vel_sum[pid] = grad / mass * count
-        out.vel_count[pid] = count
     return out
-
-
-def phase_gradient(psi: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Per-cell phase gradient of psi, shape (ndim, *dims).
-
-    Uses a phase-unwrapped central difference; cells with negligible
-    amplitude get zero.
-    """
-    grad = np.zeros((spec.ndim, *spec.dims))
-    amp = np.abs(psi)
-    ok = amp > 1e-12 * max(amp.max(), 1e-300)
-    for axis in range(spec.ndim):
-        fwd = np.roll(psi, -1, axis=axis)
-        bwd = np.roll(psi, +1, axis=axis)
-        # angle of ratio = unwrapped local phase increment
-        dphi = 0.5 * (np.angle(fwd * np.conj(psi)) + np.angle(psi * np.conj(bwd)))
-        grad[axis] = np.where(ok, dphi / spec.h, 0.0)
-    return grad
-
-
-def mean_velocity(s: SwarmState, pid: str, cell: tuple[int, ...]) -> np.ndarray:
-    """Average velocity tag of the samples in a cell; zeros if tags are absent."""
-    idx = tuple(int(c) for c in cell)
-    if s.fields[pid][(slice(None), *idx)].sum() == 0:
-        raise EmptyCellError(f"cell {cell} holds no samples of {pid!r}")
-    if pid not in s.vel_count or s.vel_count[pid][idx] == 0:
-        return np.zeros(s.spec.ndim)
-    return np.array([s.vel_sum[pid][(ax, *idx)] for ax in range(s.spec.ndim)]) / s.vel_count[pid][idx]
-
-
-def type_fields(s: SwarmState, pid: str) -> list[FieldGrid]:
-    """The four count fields of a particle as FieldGrid values."""
-    return [FieldGrid(s.spec, s.fields[pid][j].copy()) for j in range(4)]

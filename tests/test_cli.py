@@ -98,27 +98,42 @@ def test_run_pgm_export(tmp_path, capsys):
 
 
 def test_born_test_report(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        "lattice.dims = 2\ninitial.kind = file\ninitial.file = {f}\n"
-        "step.dt = 0.1\nrun.samples = 10000\n".format(f=tmp_path / "init.frame"),
-    )
     from qswarm import write_frame
 
-    # uniform two-cell state: survives the 1/sqrt(N) quantum undistorted
-    write_frame(tmp_path / "init.frame", np.array([1.0, 1.0]), 0.0)
-    code, report, _ = run_cli(capsys, "born-test", cfg, "--draws", "2000",
-                              "--seed", "4", "--out", str(tmp_path))
-    assert code == 0
-    assert report["DRAWS"] == "2000"
-    assert report["LABELS"] == "2"
-    assert float(report["P_VALUE"]) > 0.001
-    log = (tmp_path / "meas.log").read_text().splitlines()
-    assert len(log) == 2000
-    first = log[0].split()
-    assert first[0] == "MEAS" and first[2] in ("0", "1")
-    freq0 = sum(l.split()[2] == "0" for l in log) / 2000
-    assert abs(freq0 - 0.5) < 4 * np.sqrt(0.25 / 2000)
+    cases = [
+        # uniform two-cell state: survives the 1/sqrt(N) quantum undistorted
+        (np.array([1.0, 1.0]), {0: 0.5, 1: 0.5}),
+        # at eps = 1/2 the urn weights rint(|lambda|^2 / eps^2) are (2, 1, 1),
+        # so draws follow (0.5, 0.25, 0.25), not |lambda|^2 = (0.4, 0.3, 0.3)
+        (np.sqrt([0.4, 0.3, 0.3, 0.0]), {0: 0.5, 1: 0.25, 2: 0.25}),
+    ]
+    for values, urn in cases:
+        out = tmp_path / f"n{values.size}"
+        out.mkdir()
+        write_frame(out / "init.frame", values, 0.0)
+        cfg = write_cfg(
+            out,
+            "lattice.dims = {n}\ninitial.kind = file\ninitial.file = {f}\n"
+            "step.dt = 0.1\nrun.samples = 10000\n".format(n=values.size,
+                                                          f=out / "init.frame"),
+        )
+        code, report, _ = run_cli(capsys, "born-test", cfg, "--draws", "2000",
+                                  "--seed", "4", "--out", str(out))
+        assert code == 0
+        assert report["DRAWS"] == "2000"
+        assert report["LABELS"] == str(len(urn))
+        assert float(report["P_VALUE"]) > 0.001
+        log = (out / "meas.log").read_text().splitlines()
+        assert len(log) == 2000
+        first = log[0].split()
+        assert first[0] == "MEAS" and int(first[2]) in urn
+        for line in log:
+            _, _, label, prob = line.split()
+            assert float(prob) == pytest.approx(urn[int(label)])
+        for label, p in urn.items():
+            freq = sum(l.split()[2] == str(label) for l in log) / 2000
+            assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / 2000)
+            assert f"theory={p:.6g} " in report[f"LABEL_{label}"]
 
 
 def test_born_test_needs_draws(tmp_path, capsys):
@@ -207,6 +222,37 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", cfg, "--out", str(tmp_path))
     assert code == 2
     assert "error:" in err and ":2:" in err
+
+    # non-finite numbers are rejected at the input edge, never as a traceback
+    bad_frame = tmp_path / "nan.frame"
+    bad_frame.write_text("FRAME v1 1 4 0\n0.5 nan 0.5 0.5\n")
+    base = GAUSS_1D.format(steps=2, every=1)
+    for text in (
+        base.replace("lattice.dims = 32", "lattice.dims = nan"),
+        base.replace("initial.width = 4", "initial.width = nan"),
+        base + "step.dt_phot = nan\n",
+        "lattice.dims = 4\ninitial.kind = file\n"
+        f"initial.file = {bad_frame}\nstep.dt = 0.1\nrun.steps = 1\n",
+        "lattice.dims = 4\ninitial.kind = file\n"
+        f"initial.file = {tmp_path / 'absent.frame'}\nstep.dt = 0.1\n",
+    ):
+        cfg = write_cfg(tmp_path, text, name="bad.cfg")
+        for mode in ("meanfield", "stochastic"):
+            code, _, err = run_cli(capsys, "run", cfg, "--mode", mode,
+                                   "--out", str(tmp_path))
+            assert code == 2, text
+            assert err.startswith("error:")
+
+    cfg = write_cfg(tmp_path, base, name="ok.cfg")
+    code, _, err = run_cli(capsys, "run", cfg, "--seed", "-1", "--out", str(tmp_path))
+    assert code == 2 and "--seed" in err
+
+
+def test_removed_threads_flag_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GAUSS_1D.format(steps=0, every=1))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_version_flag(capsys):

@@ -16,7 +16,6 @@ from qswarm import (
     diffuse_field,
     diffusion_coefficient,
     field_laplacian,
-    phase_decomposition,
     reconstruct_wavefunction,
     sample_from_wavefunction,
     step_meanfield,
@@ -129,29 +128,6 @@ def test_meanfield_norm_drift():
         _, norm = reconstruct_wavefunction(s)
         assert abs(norm - prev) / prev <= 1e-3
         prev = norm
-
-
-# ---------------------------------------------------------------------------
-# phase decomposition
-
-@pytest.mark.parametrize(
-    "phi,expected",
-    [(0.0, (1, 0, 0, 0)), (np.pi / 2, (0, 1, 0, 0)), (np.pi, (0, 0, 1, 0))],
-)
-def test_phase_decomposition_cardinal(phi, expected):
-    assert np.allclose(phase_decomposition(phi), expected, atol=1e-12)
-
-
-def test_phase_decomposition_reconstructs_exactly():
-    rng = np.random.default_rng(9)
-    phi = rng.uniform(-10, 10, size=1000)
-    w = phase_decomposition(phi)
-    assert np.array_equal(w[0] - w[2], np.cos(phi))
-    assert np.array_equal(w[1] - w[3], np.sin(phi))
-    assert np.all(w >= 0)
-    # at most one of each opposite pair nonzero
-    assert np.all((w[0] == 0) | (w[2] == 0))
-    assert np.all((w[1] == 0) | (w[3] == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ def test_header_grammar(tmp_path):
         "FRAME v1 4 2 2 2 2 0.0\n" + " ".join(["0"] * 16) + "\n",
         "FRAME v1 1 4 0.0\n1 2 3\n",
         "FRAME v1 1 4 0.0\n1 2 3 4 5\n",
+        "FRAME v1 1 4 0.0\n1 2 x 4\n",
+        "FRAME v1 1 4 0.0\n1 nan 3 4\n",
+        "FRAME v1 1 4 0.0\n1 2 inf 4\n",
+        "FRAME v1 1 4 nan\n1 2 3 4\n",
     ],
 )
 def test_malformed_rejected(tmp_path, text):

@@ -23,6 +23,12 @@ run.steps = 5
 """
 
 
+def with_key(key, value, drop=None):
+    """BASE with ``key`` set to ``value`` and the ``drop`` key removed."""
+    lines = [l for l in BASE.splitlines() if l.split(" = ")[0] not in (key, drop)]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 def test_parse_basic():
     cfg = parse_config("a.b = 1\n# comment\n\nc = hello world\n")
     assert cfg == {"a.b": "1", "c": "hello world"}
@@ -44,8 +50,10 @@ def test_parse_duplicate_key():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_scenario(BASE + "lattice.color = blue\n")
+    # the drift conversion rule and its mass were removed; their keys are unknown
+    for extra in ("lattice.color = blue", "step.drift_rule = true", "step.mass = 1"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_scenario(BASE + extra + "\n")
 
 
 def test_missing_required():
@@ -64,6 +72,24 @@ def test_bad_number_and_choice():
         load_scenario(BASE + "run.mode = quantum\n")
     with pytest.raises(ConfigError, match="expected a boolean"):
         load_scenario(BASE + "output.types = maybe\n")
+    for key in ("lattice.dims", "initial.width", "step.dt_phot", "step.A"):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key}.*finite"):
+                load_scenario(with_key(key, bad))
+    with pytest.raises(ConfigError, match="finite"):
+        load_scenario(with_key("initial.center", "0 nan"))
+    with pytest.raises(ConfigError, match="expected an integer"):
+        load_scenario(with_key("run.steps", "2.6"))
+    with pytest.raises(ConfigError, match="expected integers"):
+        load_scenario(with_key("lattice.dims", "32.5"))
+    for key, bad in (("run.steps", "-1"), ("run.duration", "-5"), ("run.samples", "-5"),
+                     ("run.samples", "0"), ("output.every", "0"), ("run.seed", "-1")):
+        with pytest.raises(ConfigError, match=f"{key}.*must be >="):
+            load_scenario(with_key(key, bad, drop="run.steps"))
+    # the lower bounds themselves are accepted
+    s = load_scenario(with_key("run.steps", "0") + "run.samples = 1\noutput.every = 1\n")
+    assert (s.steps, s.samples, s.output_every) == (0, 1, 1)
+    assert load_scenario(with_key("run.duration", "0", drop="run.steps")).steps == 0
 
 
 def test_defaults():

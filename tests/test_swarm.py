@@ -5,13 +5,11 @@ import pytest
 
 from qswarm import (
     DomainError,
-    EmptyCellError,
     EmptySwarmError,
     LatticeSpec,
     SampleType,
     SwarmState,
     cancel_pairs,
-    mean_velocity,
     reconstruct_wavefunction,
     resample,
     sample_from_wavefunction,
@@ -208,6 +206,10 @@ def test_sample_rejects_unnormalized():
     with pytest.raises(DomainError):
         sample_from_wavefunction(np.ones(4, dtype=complex), spec, 10,
                                  np.random.default_rng(0))
+    # a NaN norm must fail the check too, not reach the multinomial draw
+    with pytest.raises(DomainError):
+        sample_from_wavefunction(np.array([1.0, np.nan, 0.0, 0.0], dtype=complex),
+                                 spec, 10, np.random.default_rng(0))
 
 
 def test_roundtrip_error_scales_as_inverse_sqrt_K():
@@ -227,31 +229,3 @@ def test_roundtrip_error_scales_as_inverse_sqrt_K():
         errs.append(np.mean(trials))
     slope = np.polyfit(np.log(Ks), np.log(errs), 1)[0]
     assert -0.65 <= slope <= -0.35
-
-
-# ---------------------------------------------------------------------------
-# velocity tags
-
-def test_mean_velocity_plane_wave():
-    spec = LatticeSpec((32,))
-    p0, mass = 0.4, 0.5
-    psi = np.exp(1j * p0 * np.arange(32)) / np.sqrt(32)
-    s = sample_from_wavefunction(psi, spec, 10000, np.random.default_rng(0),
-                                 momentum_tags=True, mass=mass)
-    cell = int(np.argmax(s.fields["p0"].sum(axis=0)))
-    v = mean_velocity(s, "p0", (cell,))
-    assert abs(v[0] - p0 / mass) <= 0.1 * abs(p0 / mass)
-
-
-def test_mean_velocity_without_tags_is_zero():
-    counts = np.zeros((4, 3))
-    counts[0, 1] = 4
-    s = make_state(counts)
-    assert np.array_equal(mean_velocity(s, "p0", (1,)), [0.0])
-
-
-def test_mean_velocity_empty_cell():
-    counts = np.zeros((4, 3))
-    counts[0, 1] = 4
-    with pytest.raises(EmptyCellError):
-        mean_velocity(make_state(counts), "p0", (0,))
