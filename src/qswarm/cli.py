@@ -232,6 +232,10 @@ def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
     """Wall time per stochastic step for n independent identical particles."""
     if not particle_counts:
         raise ConfigError("bench needs a non-empty particle list")
+    if min(particle_counts) < 1:
+        raise ConfigError(f"bench particle counts must be >= 1, got {particle_counts}")
+    if steps < 1:
+        raise ConfigError(f"bench needs steps >= 1, got {steps}")
     spec = scenario.lattice
     psi0 = build_initial(scenario)
     V = build_potential(scenario)
@@ -333,7 +337,11 @@ def main(argv=None) -> int:
         elif args.command == "green-test":
             _print_report(green_test(_load(args), _outdir(args)))
         elif args.command == "bench":
-            counts = [int(x) for x in args.particles.replace(",", " ").split()]
+            try:
+                counts = [int(x) for x in args.particles.replace(",", " ").split()]
+            except ValueError as exc:
+                raise ConfigError(
+                    f"--particles needs integers, got {args.particles!r}") from exc
             _print_report(bench_scaling(_load(args), counts, args.steps))
         elif args.command == "compare":
             _print_report(compare(args.frame_a, args.frame_b))

@@ -22,7 +22,7 @@ from .errors import (
     InterferenceConditionError,
     SwarmStabilityError,
 )
-from .lattice import Boundary, LatticeSpec
+from .lattice import Boundary, LatticeSpec, _inflow
 from .measure import AmplitudeQuantum, DiscreteState, born_measure
 from .swarm import SwarmState, reconstruct_wavefunction, sample_from_wavefunction
 
@@ -84,18 +84,17 @@ def _shift(psi: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
     """Translate a field by an integer offset; support must stay on-lattice
     for non-periodic boundaries."""
     off = tuple(int(o) for o in offset)
+    boundary = spec.boundary if spec.boundary is Boundary.PERIODIC else Boundary.ABSORBING
     out = psi
     for axis, o in enumerate(off):
         if o == 0:
             continue
-        out = np.roll(out, o, axis=axis)
-        if spec.boundary is not Boundary.PERIODIC:
-            edge = [slice(None)] * out.ndim
-            edge[axis] = slice(0, o) if o > 0 else slice(o, None)
-            if np.max(np.abs(out[tuple(edge)])) > 1e-12:
-                raise DomainError(f"shift by {off} pushes support off the lattice")
-            out = out.copy()
-            out[tuple(edge)] = 0.0
+        moved = _inflow(out, axis, o, boundary)
+        # what an absorbing shift drops is what a periodic one wraps around
+        dropped = _inflow(out, axis, o, Boundary.PERIODIC) - moved
+        if np.max(np.abs(dropped)) > 1e-12:
+            raise DomainError(f"shift by {off} pushes support off the lattice")
+        out = moved
     return out
 
 

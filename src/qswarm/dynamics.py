@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, MemoryBudgetError
 from .lattice import FieldGrid, LatticeSpec, _inflow, field_laplacian
-from .swarm import PhotonCohort, SwarmState, cancel_pairs, resample, _stochastic_round
+from .swarm import PhotonCohort, SwarmState, _split, _stochastic_round, cancel_pairs, resample
 
 # Cyclic type shifts of a (4, *dims) field: row j of f[_PREV] is f[j-1],
 # row j of f[_NEXT] is f[j+1].
@@ -132,31 +132,23 @@ def meanfield_update(
 ) -> np.ndarray:
     """One explicit step of the four coupled field equations.
 
-    Real types (1, 3) are advanced first, imaginary types (2, 4) then use
-    the updated real fields (staggered update).  Afterwards per-cell
-    min-subtraction keeps all four counts non-negative without changing
-    the encoded wave function.
+    The equations act on the four types only through re = s1-s3 and
+    im = s2-s4, so the step advances those two fields: first
+    re -= dt*(Lap im - V im), then im += dt*(Lap re - V re) with the updated
+    re (staggered update).  The result is split back into four
+    non-negative counts, at most one of each (+, -) pair non-zero per cell.
     """
     check_meanfield_stability(spec, V, p)
     dt, v = p.dt, V.grid.values
-    s1, s2, s3, s4 = (fields[j].copy() for j in range(4))
 
     def lap(x):
         return field_laplacian(FieldGrid(spec, x)).values
 
-    s1 += dt * (lap(s4) + v * s2)
-    s3 += dt * (lap(s2) + v * s4)
-    s2 += dt * (lap(s1) + v * s3)
-    s4 += dt * (lap(s3) + v * s1)
-
-    out = np.stack([s1, s2, s3, s4])
-    m = np.minimum(out[0], out[2])
-    out[0] -= m
-    out[2] -= m
-    m = np.minimum(out[1], out[3])
-    out[1] -= m
-    out[3] -= m
-    return out
+    re = fields[0] - fields[2]
+    im = fields[1] - fields[3]
+    re -= dt * (lap(im) - v * im)
+    im += dt * (lap(re) - v * re)
+    return _split(re, im)
 
 
 def step_meanfield(s: SwarmState, V: PotentialField, p: StepParams) -> SwarmState:
@@ -245,10 +237,9 @@ def step_stochastic(
         out.fields[pid] = f
 
     # (e) normalization: cancel mutually canceling parts, hold the budget
+    # (resample cancels pairs itself)
     if normalize:
-        out = cancel_pairs(out)
-        if p.A is not None:
-            out = resample(out, p.A, rng)
+        out = cancel_pairs(out) if p.A is None else resample(out, p.A, rng)
 
     if p.max_population is not None and out.population() > p.max_population:
         raise MemoryBudgetError(

@@ -40,22 +40,23 @@ def write_frame(path, values: np.ndarray, time: float) -> None:
 
 def read_frame(path) -> Frame:
     try:
-        fh = open(path)
+        with open(path) as fh:
+            header = fh.readline().split()
+            body = fh.read().split()
     except OSError as exc:
         raise DomainError(f"{path}: cannot read FRAME file ({exc.strerror})") from exc
-    with fh:
-        header = fh.readline().split()
-        if len(header) < 4 or header[0] != "FRAME" or header[1] != "v1":
-            raise DomainError(f"{path}: not a FRAME v1 file")
-        try:
-            d = int(header[2])
-            dims = tuple(int(x) for x in header[3 : 3 + d])
-            time = float(header[3 + d])
-        except (ValueError, IndexError) as exc:
-            raise DomainError(f"{path}: malformed FRAME header") from exc
-        if len(header) != 4 + d or not 1 <= d <= 3:
-            raise DomainError(f"{path}: malformed FRAME header")
-        body = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: FRAME file is not text ({exc.reason})") from exc
+    if len(header) < 4 or header[0] != "FRAME" or header[1] != "v1":
+        raise DomainError(f"{path}: not a FRAME v1 file")
+    try:
+        d = int(header[2])
+        dims = tuple(int(x) for x in header[3 : 3 + d])
+        time = float(header[3 + d])
+    except (ValueError, IndexError) as exc:
+        raise DomainError(f"{path}: malformed FRAME header") from exc
+    if len(header) != 4 + d or not 1 <= d <= 3:
+        raise DomainError(f"{path}: malformed FRAME header")
     n = int(np.prod(dims))
     if len(body) != n:
         raise DomainError(f"{path}: expected {n} values, found {len(body)}")

@@ -9,6 +9,10 @@ conventions are supported:
 * ``periodic``   - axes wrap around,
 * ``reflecting`` - outflowing mass bounces back, zero-gradient stencils,
 * ``absorbing``  - outflowing mass is lost, zero-value (Dirichlet) stencils.
+
+:func:`_inflow` is the one place that implements these rules; diffusion,
+the Laplacian, the stochastic photon hop and composite translation all
+move values through it.
 """
 
 from __future__ import annotations
@@ -133,6 +137,19 @@ def _inflow(v: np.ndarray, axis: int, step: int, boundary: Boundary) -> np.ndarr
     return out
 
 
+def _neighbor_sum(v: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Sum of the 2d axis neighbors of every cell under the :func:`_inflow` rule.
+
+    A reflecting edge counts the cell itself as its missing neighbor (the
+    mass bounced back), an absorbing edge counts zero (the mass dropped).
+    """
+    total = np.zeros_like(v)
+    for axis in range(v.ndim):
+        for step in (+1, -1):
+            total += _inflow(v, axis, step, boundary)
+    return total
+
+
 def diffuse_field(f: FieldGrid, stay_prob: float) -> FieldGrid:
     """One step of nearest-neighbor diffusion.
 
@@ -145,11 +162,7 @@ def diffuse_field(f: FieldGrid, stay_prob: float) -> FieldGrid:
     spec = f.spec
     v = f.values
     share = (1.0 - stay_prob) / (2 * spec.ndim)
-    out = stay_prob * v
-    for axis in range(spec.ndim):
-        out = out + share * _inflow(v, axis, +1, spec.boundary)
-        out = out + share * _inflow(v, axis, -1, spec.boundary)
-    return FieldGrid(spec, out)
+    return FieldGrid(spec, stay_prob * v + share * _neighbor_sum(v, spec.boundary))
 
 
 def field_laplacian(f: FieldGrid) -> FieldGrid:
@@ -160,19 +173,8 @@ def field_laplacian(f: FieldGrid) -> FieldGrid:
     """
     spec = f.spec
     v = f.values
-    acc = -2.0 * spec.ndim * v
-    for axis in range(spec.ndim):
-        for step in (+1, -1):
-            nb = np.roll(v, step, axis=axis)
-            if spec.boundary is not Boundary.PERIODIC:
-                edge = [slice(None)] * v.ndim
-                edge[axis] = slice(0, step) if step > 0 else slice(step, None)
-                if spec.boundary is Boundary.REFLECTING:
-                    nb[tuple(edge)] = v[tuple(edge)]
-                else:
-                    nb[tuple(edge)] = 0.0
-            acc = acc + nb
-    return FieldGrid(spec, acc / spec.h**2)
+    nsum = _neighbor_sum(v, spec.boundary)
+    return FieldGrid(spec, (nsum - 2.0 * spec.ndim * v) / spec.h**2)
 
 
 def diffusion_coefficient(spec: LatticeSpec, stay_prob: float) -> float:

@@ -229,8 +229,14 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
 
 
 def load_scenario_file(path) -> Scenario:
-    with open(path) as fh:
-        return load_scenario(fh.read(), name=str(path))
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not text ({exc.reason})") from exc
+    return load_scenario(text, name=str(path))
 
 
 def build_initial(s: Scenario) -> ComplexField:

@@ -130,6 +130,13 @@ def reconstruct_wavefunction(s: SwarmState, pid: str = "p0"):
     return raw / norm, norm
 
 
+def _split(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The four non-negative type fields encoding re + i*im, at most one of
+    each (+, -) pair non-zero per cell."""
+    f = np.stack([re, im, -re, -im])
+    return np.maximum(f, 0.0, out=f)
+
+
 def cancel_pairs(s: SwarmState) -> SwarmState:
     """Annihilate opposite-sign pairs per cell and per (r/i) part.
 
@@ -138,12 +145,7 @@ def cancel_pairs(s: SwarmState) -> SwarmState:
     """
     out = s.copy()
     for pid, f in out.fields.items():
-        m = np.minimum(f[0], f[2])
-        f[0] -= m
-        f[2] -= m
-        m = np.minimum(f[1], f[3])
-        f[1] -= m
-        f[3] -= m
+        out.fields[pid] = _split(f[0] - f[2], f[1] - f[3])
     return out
 
 

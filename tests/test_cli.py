@@ -203,6 +203,21 @@ def test_bench_empty_particle_list(tmp_path, capsys):
     assert code == 2
     assert "particle" in err
 
+    # non-integer or non-positive counts and fewer than one step exit 2,
+    # never with a traceback or a report of a run that did not happen
+    for flags, word in (
+        (("--particles", "a,b"), "particle"),
+        (("--particles", "0"), "particle"),
+        (("--particles", "-1"), "particle"),
+        (("--particles", "1,-2"), "particle"),
+        (("--steps", "0"), "steps"),
+        (("--steps", "-3"), "steps"),
+    ):
+        code, report, err = run_cli(capsys, "bench", cfg, *flags, "--out", str(tmp_path))
+        assert code == 2, flags
+        assert err.startswith("error:") and word in err
+        assert not report
+
 
 def test_compare_identical_and_different(tmp_path, capsys):
     from qswarm import write_frame
@@ -246,6 +261,24 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base, name="ok.cfg")
     code, _, err = run_cli(capsys, "run", cfg, "--seed", "-1", "--out", str(tmp_path))
     assert code == 2 and "--seed" in err
+
+    # unreadable input files: missing, a directory, not UTF-8 text
+    binary = tmp_path / "bin.frame"
+    binary.write_bytes(b"\xff\xfe\x00")
+    binary_cfg = tmp_path / "bin.cfg"
+    binary_cfg.write_bytes(b"lattice.dims = 4\n\xff\xfe\n")
+    frame_cfg = write_cfg(tmp_path, "lattice.dims = 4\ninitial.kind = file\n"
+                          f"initial.file = {binary}\nstep.dt = 0.1\n", name="binframe.cfg")
+    for argv in (
+        ("run", str(tmp_path / "absent.cfg")),
+        ("run", str(tmp_path)),
+        ("run", str(binary_cfg)),
+        ("run", frame_cfg),
+        ("compare", str(binary), str(binary)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:")
 
 
 def test_removed_threads_flag_rejected(tmp_path, capsys):

@@ -165,6 +165,27 @@ def test_decay_delta_internal_offsets():
     assert np.argmax(np.abs(pa)) == 5 and np.argmax(np.abs(pb)) == 9
 
 
+def test_decay_on_reflecting_lattice():
+    """Off a periodic lattice a decay shift must keep support on the lattice:
+    one that does succeeds, one whose offset pushes support off fails."""
+    spec = LatticeSpec((12,), boundary="reflecting")
+    state = two_particle_state(spec, (3,), (7,))
+    registry = {}
+    cid = glue(state, registry, "a", "b", com_internal((3,), (7,)),
+               np.random.default_rng(0))
+    decay(state, registry, cid, np.random.default_rng(1))
+    pa, _ = reconstruct_wavefunction(state, "a")
+    pb, _ = reconstruct_wavefunction(state, "b")
+    assert np.argmax(np.abs(pa)) == 3 and np.argmax(np.abs(pb)) == 7
+
+    state = two_particle_state(spec, (1,), (5,))
+    cid = glue(state, registry, "a", "b", com_internal((1,), (5,)),
+               np.random.default_rng(0))
+    state.internal[cid] = com_internal((0,), (12,))  # offsets -6 and +6 from cell 3
+    with pytest.raises(DomainError, match="off the lattice"):
+        decay(state, registry, cid, np.random.default_rng(1))
+
+
 def test_decay_requires_composite():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (5,))

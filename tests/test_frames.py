@@ -39,10 +39,13 @@ def test_header_grammar(tmp_path):
         "FRAME v1 1 4 0.0\n1 nan 3 4\n",
         "FRAME v1 1 4 0.0\n1 2 inf 4\n",
         "FRAME v1 1 4 nan\n1 2 3 4\n",
+        # not UTF-8 text: each \udcXX is written as the raw byte XX
+        "\udcff\udcfe\x00",
+        "FRAME v1 1 4 0.0\n1 2 \udcff 4\n",
     ],
 )
 def test_malformed_rejected(tmp_path, text):
     path = tmp_path / "bad.frame"
-    path.write_text(text)
+    path.write_text(text, errors="surrogateescape")
     with pytest.raises(DomainError):
         read_frame(path)

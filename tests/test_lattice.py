@@ -118,15 +118,37 @@ def test_laplacian_quadratic_interior():
     assert np.allclose(out.values[1:-1], 2.0)
 
 
-@pytest.mark.parametrize("boundary", list(Boundary))
-def test_laplacian_matches_sparse_matrix(boundary):
+def _stencil_cases():
+    """Every (shape, boundary) pair over 1-3 axes; 2D cases are named by the
+    boundary alone."""
+    for shape in ((5,), (5, 7), (4, 5, 6)):
+        for boundary in Boundary:
+            name = boundary.value if len(shape) == 2 else f"{len(shape)}d-{boundary.value}"
+            yield pytest.param(shape, boundary, id=name)
+
+
+@pytest.mark.parametrize("shape, boundary", _stencil_cases())
+def test_laplacian_matches_sparse_matrix(shape, boundary):
     """field_laplacian agrees with the independent kron-built operator."""
     rng = np.random.default_rng(3)
-    spec = LatticeSpec((5, 7), h=0.5, boundary=boundary)
+    spec = LatticeSpec(shape, h=0.5, boundary=boundary)
     f = rng.standard_normal(spec.dims)
     via_field = field_laplacian(FieldGrid(spec, f)).values
     via_matrix = (laplacian_matrix(spec) @ f.ravel()).reshape(spec.dims)
     assert np.allclose(via_field, via_matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, boundary", _stencil_cases())
+def test_diffusion_is_identity_plus_laplacian(shape, boundary):
+    """One diffusion step equals I + c*Lap on every boundary: the mass a
+    reflecting edge bounces back is the mirrored neighbor, the mass an
+    absorbing edge drops is the zero neighbor."""
+    rng = np.random.default_rng(4)
+    spec = LatticeSpec(shape, h=0.5, boundary=boundary)
+    f = FieldGrid(spec, rng.random(spec.dims))
+    moved = diffuse_field(f, 0.3).values - f.values
+    c = diffusion_coefficient(spec, 0.3)
+    assert np.allclose(moved, c * field_laplacian(f).values, rtol=0, atol=1e-12)
 
 
 def test_green_zero_source():
