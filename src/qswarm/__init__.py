@@ -37,7 +37,6 @@ from .lattice import (
 from .frames import Frame, read_frame, write_frame
 from .swarm import (
     PhotonCohort,
-    SampleType,
     SwarmState,
     cancel_pairs,
     reconstruct_wavefunction,

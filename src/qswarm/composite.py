@@ -231,7 +231,7 @@ def measure_correlated(
         raise DomainError(f"{cid!r} is not a composite particle")
     from .measure import measure_swarm
 
-    measure_swarm(state.copy(), q, rng, pid=cid)  # position draw (outcome unused here)
+    measure_swarm(state, q, rng, pid=cid)  # position draw (outcome unused here)
     internal: InternalState = state.internal[cid]
     idx = born_measure(
         DiscreteState(list(range(len(internal.branches))), internal.amplitudes()),

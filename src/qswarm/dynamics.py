@@ -19,10 +19,10 @@ Two integrators over the same four-type field representation:
 
 The kinetic term arises from photon transport alone.  The raw
 emit/convert cycle also contributes an identity term r*s_j (a pure global
-phase on the encoded wave function); when ``phase_compensation`` is on,
-every emission creates a paired opposite-sign sample at the source cell,
-deposited at conversion time, which cancels that term in expectation so
-the expected stochastic update equals the mean-field update.
+phase on the encoded wave function); every emission therefore creates a
+paired opposite-sign sample at the source cell, deposited at conversion
+time, which cancels that term in expectation so the expected stochastic
+update equals the mean-field update.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class StepParams:
     dt_phot: float | None = None
     A: float | None = None
     max_population: float | None = None
-    phase_compensation: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -153,26 +152,32 @@ def meanfield_update(
 
 def step_meanfield(s: SwarmState, V: PotentialField, p: StepParams) -> SwarmState:
     """Advance every particle of a state by one mean-field step."""
-    out = s.copy()
-    for pid in out.particles():
-        out.fields[pid] = meanfield_update(out.fields[pid], V, out.spec, p)
+    out = s._with_fields(
+        {pid: meanfield_update(f, V, s.spec, p) for pid, f in s.fields.items()}
+    )
     out.time += p.dt
     return out
 
 
 def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, hop: float, rng) -> np.ndarray:
-    """Stochastic nearest-neighbor hop of integer per-cell counts."""
+    """Stochastic nearest-neighbor hop of integer per-cell counts.
+
+    The trailing axes of ``counts`` are the lattice; leading axes (the four
+    types of a cohort) are moved independently.  Cells are drawn in C order,
+    so one call on a stack draws what per-slice calls would, in turn.
+    """
     if hop <= 0.0:
         return counts.copy()
     nd = spec.ndim
+    lead = counts.ndim - nd
     pvals = np.array([1.0 - hop] + [hop / (2 * nd)] * (2 * nd))
     draws = rng.multinomial(counts.astype(np.int64).ravel(), pvals)
-    out = draws[:, 0].reshape(spec.dims).astype(float)
+    out = draws[:, 0].reshape(counts.shape).astype(float)
     k = 1
     for axis in range(nd):
         for step in (+1, -1):
-            moved = draws[:, k].reshape(spec.dims).astype(float)
-            out += _inflow(moved, axis, step, spec.boundary)
+            moved = draws[:, k].reshape(counts.shape).astype(float)
+            out += _inflow(moved, lead + axis, step, spec.boundary)
             k += 1
     return out
 
@@ -204,9 +209,7 @@ def step_stochastic(
         # (b) photon transport + (c) conversion of expired cohorts
         kept = []
         for cohort in out.photons[pid]:
-            counts = np.stack(
-                [_diffuse_counts(cohort.counts[j], spec, p.p_phot, rng) for j in range(4)]
-            )
+            counts = _diffuse_counts(cohort.counts, spec, p.p_phot, rng)
             cohort = PhotonCohort(counts, cohort.pending, cohort.age + 1)
             if cohort.age >= p.n_age:
                 # photons of type j convert into particle samples of type j+1
@@ -219,22 +222,14 @@ def step_stochastic(
         emitted = _stochastic_round(lam, rng)
         if emitted.any():
             # each type-j photon is paired with a type j-1 anti-sample
-            pending = emitted[_NEXT] if p.phase_compensation else np.zeros_like(emitted)
-            kept.append(PhotonCohort(emitted, pending, 0))
+            kept.append(PhotonCohort(emitted, emitted[_NEXT], 0))
         out.photons[pid] = kept
 
         # (d) potential events: type j spawns j-1 where V > 0, its negation
         # (shift by two) where V < 0
         if vvals.any():
             spawn = _stochastic_round(f * (np.abs(vvals) * p.dt), rng)
-            pos = vvals > 0
-            extra = np.zeros_like(f)
-            for j in range(4):
-                extra[(j - 1) % 4] += np.where(pos, spawn[j], 0.0)
-                extra[(j + 1) % 4] += np.where(~pos, spawn[j], 0.0)
-            f += extra
-
-        out.fields[pid] = f
+            f += np.where(vvals > 0, spawn[_NEXT], spawn[_PREV])
 
     # (e) normalization: cancel mutually canceling parts, hold the budget
     # (resample cancels pairs itself)

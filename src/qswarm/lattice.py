@@ -100,7 +100,10 @@ def cell_index(position, spec: LatticeSpec) -> int:
     Under periodic boundaries coordinates wrap; otherwise out-of-range
     coordinates are a domain error.
     """
-    pos = np.asarray(position, dtype=int)
+    try:
+        pos = np.asarray(position, dtype=int)
+    except OverflowError:
+        raise DomainError(f"coordinates {position!r} out of integer range") from None
     if pos.shape != (spec.ndim,):
         raise DomainError(f"expected {spec.ndim} coordinates, got {position!r}")
     dims = np.asarray(spec.dims)

@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import PotentialField, StepParams
 from .errors import ConfigError
 from .frames import read_frame
-from .lattice import FieldGrid, LatticeSpec, relax_to_green
+from .lattice import FieldGrid, LatticeSpec, cell_index, relax_to_green
 from .oracle import ComplexField
 
 MODES = ("meanfield", "stochastic", "oracle")
@@ -177,6 +177,12 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
         "momentum": r.get_floats("initial.momentum", (0.0,) * spec.ndim),
         "file": r.get("initial.file"),
     }
+    for key in ("center", "momentum"):
+        if len(initial_params[key]) != spec.ndim:
+            raise ConfigError(
+                f"{name}: key 'initial.{key}': expected {spec.ndim} coordinate(s), "
+                f"got {initial_params[key]}"
+            )
 
     potential_kind = r.get_choice("potential.kind", POTENTIAL_KINDS, default="zero")
     potential_params = {
@@ -196,7 +202,6 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
         dt_phot=r.get_float("step.dt_phot"),
         A=r.get_float("step.A"),
         max_population=r.get_float("step.max_population"),
-        phase_compensation=r.get_bool("step.phase_compensation", True),
     )
 
     mode = r.get_choice("run.mode", MODES, default="meanfield")
@@ -255,11 +260,8 @@ def build_initial(s: Scenario) -> ComplexField:
         psi = fr.values.astype(complex)
     elif kind == "delta":
         psi = np.zeros(spec.dims, dtype=complex)
-        idx = tuple(
-            int(round(c / spec.h + (n - 1) / 2.0))
-            for c, n in zip(p["center"], spec.dims)
-        )
-        psi[idx] = 1.0
+        pos = [round(c / spec.h + (n - 1) / 2.0) for c, n in zip(p["center"], spec.dims)]
+        psi.flat[cell_index(pos, spec)] = 1.0
     elif kind == "gaussian":
         psi = np.ones(spec.dims, dtype=complex)
         for axis in range(spec.ndim):

@@ -13,7 +13,6 @@ normalization.  Samples are stored in aggregated (per-cell count) form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from enum import IntEnum
 
 import numpy as np
 
@@ -21,30 +20,7 @@ from .errors import DomainError, EmptySwarmError
 from .lattice import LatticeSpec
 
 
-class SampleType(IntEnum):
-    PLUS_R = 1
-    PLUS_I = 2
-    MINUS_R = 3
-    MINUS_I = 4
-
-    @property
-    def sign(self) -> int:
-        return +1 if self in (SampleType.PLUS_R, SampleType.PLUS_I) else -1
-
-    @property
-    def part(self) -> str:
-        return "r" if self in (SampleType.PLUS_R, SampleType.MINUS_R) else "i"
-
-    def successor(self) -> "SampleType":
-        """Cyclic shift 1 -> 2 -> 3 -> 4 -> 1."""
-        return SampleType(self % 4 + 1)
-
-    def negate(self) -> "SampleType":
-        """Sign flip: shift by two."""
-        return self.successor().successor()
-
-
-@dataclass
+@dataclass(frozen=True)
 class PhotonCohort:
     """Connected-photon samples emitted in one step, tracked until conversion.
 
@@ -53,6 +29,8 @@ class PhotonCohort:
     creation); they are deposited into the particle fields at conversion
     time so that the expected net deposit is purely the diffusive part of
     the photon transport.
+
+    A cohort is never written after it is built, so states share cohorts.
     """
 
     counts: np.ndarray  # (4, *dims)
@@ -105,15 +83,19 @@ class SwarmState:
         return tot
 
     def copy(self) -> "SwarmState":
-        out = SwarmState(self.spec, time=self.time)
-        out.fields = {k: v.copy() for k, v in self.fields.items()}
-        out.photons = {
-            k: [PhotonCohort(c.counts.copy(), c.pending.copy(), c.age) for c in v]
-            for k, v in self.photons.items()
-        }
-        out.scale = dict(self.scale)
-        out.internal = dict(self.internal)
-        return out
+        """A state with copied fields; the (frozen) photon cohorts are shared."""
+        return self._with_fields({k: v.copy() for k, v in self.fields.items()})
+
+    def _with_fields(self, fields: dict[str, np.ndarray]) -> "SwarmState":
+        """This state around ``fields``, with fresh containers for the rest."""
+        return SwarmState(
+            self.spec,
+            fields,
+            {k: list(v) for k, v in self.photons.items()},
+            dict(self.scale),
+            dict(self.internal),
+            self.time,
+        )
 
 
 def reconstruct_wavefunction(s: SwarmState, pid: str = "p0"):
@@ -143,10 +125,8 @@ def cancel_pairs(s: SwarmState) -> SwarmState:
     Leaves the reconstructed wave function exactly unchanged; afterwards
     min(s1,s3) = min(s2,s4) = 0 in every cell.
     """
-    out = s.copy()
-    for pid, f in out.fields.items():
-        out.fields[pid] = _split(f[0] - f[2], f[1] - f[3])
-    return out
+    fields = {pid: _split(f[0] - f[2], f[1] - f[3]) for pid, f in s.fields.items()}
+    return s._with_fields(fields)
 
 
 def _stochastic_round(x: np.ndarray, rng) -> np.ndarray:
@@ -160,7 +140,7 @@ def swarm_budget(s: SwarmState, pid: str, A: float) -> float:
     return A * float(np.abs(psi).sum())
 
 
-def resample(s: SwarmState, A: float, rng, deterministic: bool = False) -> SwarmState:
+def resample(s: SwarmState, A: float, rng) -> SwarmState:
     """Rescale sample populations to the A*|psi| memory budget.
 
     Cancels pairs, then multiplies every surviving count by one global
@@ -178,8 +158,7 @@ def resample(s: SwarmState, A: float, rng, deterministic: bool = False) -> Swarm
             continue
         target = swarm_budget(out, pid, A)
         factor = target / current
-        scaled = f * factor
-        out.fields[pid] = scaled if deterministic else _stochastic_round(scaled, rng)
+        out.fields[pid] = _stochastic_round(f * factor, rng)
         out.scale[pid] *= factor
     return out
 

@@ -276,22 +276,25 @@ def test_acceptance_8_linear_scaling():
     p = StepParams(dt=0.1, A=2000.0)
     K, steps = 20000, 10
 
-    times = []
     ns = [1, 2, 4, 8]
+    states = []
     for n in ns:
         rng = step_rng(0, 0)
         state = sample_from_wavefunction(psi, spec, K, rng, pid="p0")
         for j in range(1, n):
             extra = sample_from_wavefunction(psi, spec, K, rng, pid=f"p{j}")
             state.add_particle(f"p{j}", extra.fields[f"p{j}"], extra.scale[f"p{j}"])
-        state = step_stochastic(state, V, p, step_rng(0, 0))  # warm-up
-        best = np.inf
-        for rep in range(3):  # best-of-3: robust against scheduler noise
+        states.append(step_stochastic(state, V, p, step_rng(0, 0)))  # warm-up
+    # best of 5 per n, the repetitions interleaved across n so that a slow
+    # spell of the machine hits every n alike instead of one
+    times = [np.inf] * len(ns)
+    for rep in range(5):
+        for i, state in enumerate(states):
             t0 = time.perf_counter()
             for k in range(1, steps + 1):
                 state = step_stochastic(state, V, p, step_rng(0, rep * steps + k))
-            best = min(best, (time.perf_counter() - t0) / steps)
-        times.append(best)
+            times[i] = min(times[i], (time.perf_counter() - t0) / steps)
+            states[i] = state
 
     ts, narr = np.asarray(times), np.asarray(ns, dtype=float)
     coef = np.polyfit(narr, ts, 1)

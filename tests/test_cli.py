@@ -242,6 +242,7 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     bad_frame = tmp_path / "nan.frame"
     bad_frame.write_text("FRAME v1 1 4 0\n0.5 nan 0.5 0.5\n")
     base = GAUSS_1D.format(steps=2, every=1)
+    delta = "initial.kind = delta\nstep.dt = 0.1\nrun.steps = 1\n"
     for text in (
         base.replace("lattice.dims = 32", "lattice.dims = nan"),
         base.replace("initial.width = 4", "initial.width = nan"),
@@ -250,6 +251,15 @@ def test_malformed_config_exit_code(tmp_path, capsys):
         f"initial.file = {bad_frame}\nstep.dt = 0.1\nrun.steps = 1\n",
         "lattice.dims = 4\ninitial.kind = file\n"
         f"initial.file = {tmp_path / 'absent.frame'}\nstep.dt = 0.1\n",
+        # initial.center / initial.momentum need one number per axis, and a
+        # delta off a non-periodic lattice is a domain error
+        "lattice.dims = 8 8\ninitial.kind = gaussian\ninitial.momentum = 0.3\n"
+        "step.dt = 0.1\nrun.steps = 1\n",
+        "lattice.dims = 8 8\ninitial.center = 1\n" + delta,
+        "lattice.dims = 8\ninitial.center = 0 0 0\n" + delta,
+        "lattice.dims = 8\nlattice.boundary = absorbing\ninitial.center = 100\n" + delta,
+        "lattice.dims = 8\nlattice.boundary = reflecting\ninitial.center = -10\n" + delta,
+        "lattice.dims = 8\ninitial.center = 1e300\n" + delta,
     ):
         cfg = write_cfg(tmp_path, text, name="bad.cfg")
         for mode in ("meanfield", "stochastic"):

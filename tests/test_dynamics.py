@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qswarm import (
+    AmplitudeQuantum,
+    Boundary,
     ConfigError,
     FieldGrid,
     LatticeSpec,
@@ -12,16 +14,19 @@ from qswarm import (
     StepParams,
     SwarmState,
     calibrated_emission_rate,
+    cancel_pairs,
     check_meanfield_stability,
     diffuse_field,
     diffusion_coefficient,
     field_laplacian,
+    measure_swarm,
     reconstruct_wavefunction,
+    resample,
     sample_from_wavefunction,
     step_meanfield,
     step_stochastic,
 )
-from qswarm.dynamics import meanfield_update
+from qswarm.dynamics import _diffuse_counts, meanfield_update
 
 
 def state_from_counts(counts, spec, scale=1.0):
@@ -143,14 +148,13 @@ def test_stochastic_empty_swarm():
 
 def test_stochastic_single_sample_conversion():
     """One type-1 sample with a forced emission: after two steps exactly one
-    type-2 sample sits at the same cell (the raw emit/convert cycle, without
-    the paired compensation samples)."""
+    type-2 sample sits at the same cell (the converted photon; its paired
+    compensation sample is of type 4)."""
     spec = LatticeSpec((8,))
     counts = np.zeros((4, 8))
     counts[0, 3] = 1.0
     s = state_from_counts(counts, spec)
-    p = StepParams(dt=1.0, p_phot=0.0, r_emit=1.0, dt_phot=1.0,
-                   phase_compensation=False)
+    p = StepParams(dt=1.0, p_phot=0.0, r_emit=1.0, dt_phot=1.0)
     rng = np.random.default_rng(0)
     V = PotentialField.zero(spec)
     s = step_stochastic(s, V, p, rng, normalize=False)
@@ -191,11 +195,11 @@ def test_stochastic_locality():
 
 def test_stochastic_conversion_shifts_type():
     """Photon cohorts convert to the cyclic successor type: each quarter
-    cycle multiplies the encoded amplitude contribution by i."""
+    cycle multiplies the encoded amplitude contribution by i (the paired
+    compensation sample lands on type j-1, not on j+1)."""
     spec = LatticeSpec((4,))
     V = PotentialField.zero(spec)
-    p = StepParams(dt=1.0, p_phot=0.0, r_emit=1.0, dt_phot=1.0,
-                   phase_compensation=False)
+    p = StepParams(dt=1.0, p_phot=0.0, r_emit=1.0, dt_phot=1.0)
     for j in range(4):
         counts = np.zeros((4, 4))
         counts[j, 1] = 1.0
@@ -267,3 +271,60 @@ def test_stochastic_deterministic_given_seed():
             s = step_stochastic(s, V, p, np.random.default_rng([3, k]))
         outs.append(s.fields["p0"])
     assert np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("dims", [(7,), (5, 6), (4, 5, 3)], ids=["1d", "2d", "3d"])
+def test_diffuse_counts_stack_matches_per_type_calls(dims, boundary):
+    """A cohort's (4, *dims) counts move in one call exactly as four per-type
+    calls from the same seed would move them, and leave the same stream."""
+    spec = LatticeSpec(dims, boundary=boundary)
+    counts = np.random.default_rng(5).integers(0, 6, size=(4, *dims)).astype(float)
+    counts[2] = 0.0  # an empty type draws nothing
+    rng_stack, rng_types = np.random.default_rng(9), np.random.default_rng(9)
+    stacked = _diffuse_counts(counts, spec, 0.7, rng_stack)
+    per_type = np.stack([_diffuse_counts(counts[j], spec, 0.7, rng_types) for j in range(4)])
+    assert np.array_equal(stacked, per_type)
+    assert rng_stack.random() == rng_types.random()
+
+
+def test_steps_leave_their_input_unchanged():
+    """States share photon cohorts, so no operation may write its input's
+    fields, cohorts, scale or time."""
+    spec = LatticeSpec((12,), boundary="reflecting")
+    x = np.arange(12.0)
+    psi = np.exp(-((x - 6.0) ** 2) / 8 + 0.5j * x)
+    psi /= np.linalg.norm(psi)
+    V = PotentialField(FieldGrid(spec, np.linspace(-1.0, 1.0, 12)))
+    p = StepParams(dt=0.1, dt_phot=0.3, A=2000.0)
+    rng = np.random.default_rng(4)
+    s = sample_from_wavefunction(psi, spec, 2000, rng)
+    for _ in range(2):
+        s = step_stochastic(s, V, p, rng)
+    assert len(s.photons["p0"]) == 2  # cohorts in flight
+
+    def snapshot(state):
+        return (
+            {k: v.copy() for k, v in state.fields.items()},
+            [(c.counts.copy(), c.pending.copy(), c.age) for c in state.photons["p0"]],
+            dict(state.scale),
+            state.time,
+        )
+
+    before = snapshot(s)
+    for op in (
+        lambda: step_stochastic(s, V, p, rng),
+        lambda: step_stochastic(s, V, StepParams(dt=0.1, dt_phot=0.3), rng),
+        lambda: step_meanfield(s, V, StepParams(dt=0.1)),
+        lambda: cancel_pairs(s),
+        lambda: resample(s, 500.0, rng),
+        lambda: measure_swarm(s, AmplitudeQuantum(0.1), rng),
+    ):
+        op()
+        fields, cohorts, scale, time = snapshot(s)
+        assert fields.keys() == before[0].keys()
+        assert all(np.array_equal(fields[k], before[0][k]) for k in fields)
+        assert len(cohorts) == len(before[1])
+        for (c, pend, age), (c0, pend0, age0) in zip(cohorts, before[1]):
+            assert np.array_equal(c, c0) and np.array_equal(pend, pend0) and age == age0
+        assert scale == before[2] and time == before[3]

@@ -50,8 +50,10 @@ def test_parse_duplicate_key():
 
 
 def test_unknown_key_rejected():
-    # the drift conversion rule and its mass were removed; their keys are unknown
-    for extra in ("lattice.color = blue", "step.drift_rule = true", "step.mass = 1"):
+    # the drift conversion rule, its mass and the phase-compensation switch were
+    # removed; their keys are unknown
+    for extra in ("lattice.color = blue", "step.drift_rule = true", "step.mass = 1",
+                  "step.phase_compensation = false"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_scenario(BASE + extra + "\n")
 
@@ -136,6 +138,12 @@ def test_initial_delta_offcenter():
     )
     psi = build_initial(s).psi
     assert psi[6] == 1.0
+    # a periodic lattice wraps the center onto the same cell
+    s = load_scenario(
+        "lattice.dims = 9\ninitial.kind = delta\ninitial.center = -7\nstep.dt = 0.1\n"
+    )
+    psi = build_initial(s).psi
+    assert psi[6] == 1.0 and np.count_nonzero(psi) == 1
 
 
 def test_initial_gaussian():

@@ -7,7 +7,6 @@ from qswarm import (
     DomainError,
     EmptySwarmError,
     LatticeSpec,
-    SampleType,
     SwarmState,
     cancel_pairs,
     reconstruct_wavefunction,
@@ -23,27 +22,6 @@ def make_state(counts, scale=1.0, dims=None):
     s = SwarmState(spec)
     s.add_particle("p0", counts, scale)
     return s
-
-
-# ---------------------------------------------------------------------------
-# SampleType algebra
-
-def test_successor_cycle():
-    for t in SampleType:
-        u = t
-        for _ in range(4):
-            u = u.successor()
-        assert u is t
-
-
-def test_negate_is_double_successor():
-    for t in SampleType:
-        assert t.negate() is t.successor().successor()
-
-
-def test_type_tags():
-    assert SampleType.PLUS_R.sign == 1 and SampleType.PLUS_R.part == "r"
-    assert SampleType.MINUS_I.sign == -1 and SampleType.MINUS_I.part == "i"
 
 
 # ---------------------------------------------------------------------------
