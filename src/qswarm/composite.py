@@ -22,7 +22,7 @@ from .errors import (
     InterferenceConditionError,
     SwarmStabilityError,
 )
-from .lattice import Boundary, LatticeSpec, _inflow
+from .lattice import Boundary, LatticeSpec, _add_inflow
 from .measure import AmplitudeQuantum, DiscreteState, born_measure
 from .swarm import SwarmState, reconstruct_wavefunction, sample_from_wavefunction
 
@@ -89,10 +89,11 @@ def _shift(psi: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
     for axis, o in enumerate(off):
         if o == 0:
             continue
-        moved = _inflow(out, axis, o, boundary)
+        moved, wrapped = np.zeros(out.shape, out.dtype), np.zeros(out.shape, out.dtype)
+        _add_inflow(moved, out, axis, o, boundary)
         # what an absorbing shift drops is what a periodic one wraps around
-        dropped = _inflow(out, axis, o, Boundary.PERIODIC) - moved
-        if np.max(np.abs(dropped)) > 1e-12:
+        _add_inflow(wrapped, out, axis, o, Boundary.PERIODIC)
+        if np.max(np.abs(wrapped - moved)) > 1e-12:
             raise DomainError(f"shift by {off} pushes support off the lattice")
         out = moved
     return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, MemoryBudgetError
-from .lattice import FieldGrid, LatticeSpec, _inflow, field_laplacian
+from .lattice import FieldGrid, LatticeSpec, _add_inflow, field_laplacian
 from .swarm import PhotonCohort, SwarmState, _split, _stochastic_round, cancel_pairs, resample
 
 # Cyclic type shifts of a (4, *dims) field: row j of f[_PREV] is f[j-1],
@@ -48,7 +48,11 @@ class PotentialField:
     grid: FieldGrid
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.grid.values)):
+        # max|V| is read by every mean-field step's stability check; NaN
+        # propagates through both reductions
+        v = self.grid.values
+        self._vmax = float(max(v.max(), -v.min()))
+        if not np.isfinite(self._vmax):
             raise DomainError("potential must be finite")
 
     @classmethod
@@ -117,7 +121,7 @@ def calibrated_emission_rate(spec: LatticeSpec, p: StepParams) -> float:
 
 def check_meanfield_stability(spec: LatticeSpec, V: PotentialField, p: StepParams) -> None:
     """Explicit staggered scheme is stable for dt*(4d/h^2 + max|V|) <= 2."""
-    vmax = float(np.max(np.abs(V.grid.values))) if V is not None else 0.0
+    vmax = V._vmax if V is not None else 0.0
     bound = 2.0 / (4.0 * spec.ndim / spec.h**2 + vmax)
     if p.dt > bound * (1 + 1e-12):
         raise ConfigError(
@@ -140,14 +144,18 @@ def meanfield_update(
     check_meanfield_stability(spec, V, p)
     dt, v = p.dt, V.grid.values
 
-    def lap(x):
-        return field_laplacian(FieldGrid(spec, x)).values
+    def rate(x):
+        """dt*(Lap x - V x), computed in the Laplacian's own buffer."""
+        d = field_laplacian(FieldGrid(spec, x)).values
+        d -= v * x
+        d *= dt
+        return d
 
-    re = fields[0] - fields[2]
-    im = fields[1] - fields[3]
-    re -= dt * (lap(im) - v * im)
-    im += dt * (lap(re) - v * re)
-    return _split(re, im)
+    out = np.empty(fields.shape)
+    re, im = np.subtract(fields[:2], fields[2:], out=out[:2])
+    re -= rate(im)
+    im += rate(re)
+    return _split(out)
 
 
 def step_meanfield(s: SwarmState, V: PotentialField, p: StepParams) -> SwarmState:
@@ -177,7 +185,7 @@ def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, hop: float, rng) -> n
     for axis in range(nd):
         for step in (+1, -1):
             moved = draws[:, k].reshape(counts.shape).astype(float)
-            out += _inflow(moved, lead + axis, step, spec.boundary)
+            _add_inflow(out, moved, lead + axis, step, spec.boundary)
             k += 1
     return out
 

@@ -10,9 +10,9 @@ conventions are supported:
 * ``reflecting`` - outflowing mass bounces back, zero-gradient stencils,
 * ``absorbing``  - outflowing mass is lost, zero-value (Dirichlet) stencils.
 
-:func:`_inflow` is the one place that implements these rules; diffusion,
+:func:`_add_inflow` is the one place that implements these rules; diffusion,
 the Laplacian, the stochastic photon hop and composite translation all
-move values through it.
+accumulate shifted values through it, in place.
 """
 
 from __future__ import annotations
@@ -119,37 +119,60 @@ def cell_coords(index: int, spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(int(c) for c in np.unravel_index(index, spec.dims))
 
 
-def _inflow(v: np.ndarray, axis: int, step: int, boundary: Boundary) -> np.ndarray:
-    """Mass arriving in each cell from its neighbor at ``-step`` along ``axis``.
+def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary: Boundary) -> None:
+    """Add to ``total`` the mass arriving in each cell from its neighbor at
+    ``-step`` along ``axis``.
 
     Mass that would leave the lattice is wrapped (periodic), returned to the
-    cell it left (reflecting) or dropped (absorbing).
+    cell it left (reflecting, at most half an axis per shift) or dropped
+    (absorbing).  The shift is one in-place add over the flattened arrays;
+    then the two edge planes, where that add crosses a row, are rewritten.
     """
-    out = np.roll(v, step, axis=axis)
+    assert total.flags.c_contiguous, "an in-place shift needs a C-contiguous total"
+    v = np.ascontiguousarray(v)
+    n = v.shape[axis]
     if boundary is Boundary.PERIODIC:
-        return out
-    # zero out the wrapped-around slice
-    edge = [slice(None)] * v.ndim
-    edge[axis] = slice(0, step) if step > 0 else slice(step, None)
-    out[tuple(edge)] = 0.0
+        step = int(np.fmod(step, n))  # whole turns move nothing
+    elif boundary is Boundary.REFLECTING:
+        assert 2 * abs(step) <= n, "a reflecting shift moves at most half an axis"
+    elif abs(step) >= n:
+        return  # every cell's mass leaves the lattice
+    if step == 0:
+        total += v
+        return
+    s, fwd = abs(step), step > 0
+
+    def slab(lo):
+        idx = [slice(None)] * v.ndim
+        idx[axis] = slice(lo, lo + s)
+        return tuple(idx)
+
+    recv, leave = (slab(0), slab(n - s)) if fwd else (slab(n - s), slab(0))
+    saved = total[recv].copy()
     if boundary is Boundary.REFLECTING:
-        # the slice that tried to leave bounces back in place
-        src = [slice(None)] * v.ndim
-        src[axis] = slice(-step, None) if step > 0 else slice(0, -step)
-        out[tuple(src)] += v[tuple(src)]
-    return out
+        # one addend: what arrives from behind plus what bounces back
+        bounced = total[leave] + (v[slab(n - 2 * s if fwd else s)] + v[leave])
+    k = s * (v.strides[axis] // v.itemsize)
+    flat, vflat = total.reshape(-1), v.reshape(-1)
+    dst, src = (flat[k:], vflat[:-k]) if fwd else (flat[:-k], vflat[k:])
+    dst += src
+    if boundary is Boundary.PERIODIC:
+        saved += v[leave]
+    total[recv] = saved
+    if boundary is Boundary.REFLECTING:
+        total[leave] = bounced
 
 
 def _neighbor_sum(v: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Sum of the 2d axis neighbors of every cell under the :func:`_inflow` rule.
+    """Sum of the 2d axis neighbors of every cell under the :func:`_add_inflow` rule.
 
     A reflecting edge counts the cell itself as its missing neighbor (the
     mass bounced back), an absorbing edge counts zero (the mass dropped).
     """
-    total = np.zeros_like(v)
+    total = np.zeros(v.shape, v.dtype)
     for axis in range(v.ndim):
         for step in (+1, -1):
-            total += _inflow(v, axis, step, boundary)
+            _add_inflow(total, v, axis, step, boundary)
     return total
 
 
@@ -165,7 +188,10 @@ def diffuse_field(f: FieldGrid, stay_prob: float) -> FieldGrid:
     spec = f.spec
     v = f.values
     share = (1.0 - stay_prob) / (2 * spec.ndim)
-    return FieldGrid(spec, stay_prob * v + share * _neighbor_sum(v, spec.boundary))
+    out = _neighbor_sum(v, spec.boundary)
+    out *= share
+    out += stay_prob * v
+    return FieldGrid(spec, out)
 
 
 def field_laplacian(f: FieldGrid) -> FieldGrid:
@@ -177,7 +203,9 @@ def field_laplacian(f: FieldGrid) -> FieldGrid:
     spec = f.spec
     v = f.values
     nsum = _neighbor_sum(v, spec.boundary)
-    return FieldGrid(spec, (nsum - 2.0 * spec.ndim * v) / spec.h**2)
+    nsum -= 2.0 * spec.ndim * v
+    nsum /= spec.h**2
+    return FieldGrid(spec, nsum)
 
 
 def diffusion_coefficient(spec: LatticeSpec, stay_prob: float) -> float:
@@ -210,22 +238,31 @@ def relax_to_green(
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    if np.any(source.values < 0):
-        raise DomainError("source must be non-negative")
     spec = source.spec
     if absorption.spec.dims != spec.dims:
         raise DomainError("source and absorption lattices differ")
+    if not (np.all(np.isfinite(source.values)) and np.all(np.isfinite(absorption.values))):
+        raise DomainError("source and absorption must be finite")
+    if np.any(source.values < 0):
+        raise DomainError("source must be non-negative")
     if not source.values.any():
         return GreenResult(FieldGrid(spec), True, 0, 0.0)
 
+    absorbs = absorption.values.any()
     F = spec.zeros()
+    scale = spec.zeros()
     change = np.inf
     it = 0
     for it in range(1, steps + 1):
         Fn = diffuse_field(FieldGrid(spec, F), stay_prob).values
-        Fn = Fn + source.values - absorption.values * F
-        scale = np.maximum(np.abs(Fn), 1e-300)
-        change = float(np.max(np.abs(Fn - F) / scale))
+        Fn += source.values
+        if absorbs:
+            Fn -= absorption.values * F
+        # maximum relative change |Fn - F| / max(|Fn|, 1e-300), in F's buffer
+        np.maximum(np.abs(Fn, out=scale), 1e-300, out=scale)
+        diff = np.abs(np.subtract(Fn, F, out=F), out=F)
+        diff /= scale
+        change = float(diff.max())
         F = Fn
         if change < tol:
             return GreenResult(FieldGrid(spec, F), True, it, change)

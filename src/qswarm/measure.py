@@ -120,11 +120,10 @@ def measure_swarm(s: SwarmState, q: AmplitudeQuantum, rng, pid: str = "p0"):
     cell = born_measure(state, q, rng)
     coords = cell_coords(cell, s.spec)
 
-    out = s.copy()
-    population = max(out.fields[pid].sum(), 1.0)
-    f = np.zeros_like(out.fields[pid])
+    population = max(s.fields[pid].sum(), 1.0)
+    f = np.zeros_like(s.fields[pid])
     f[(0, *coords)] = population
-    out.fields[pid] = f
+    out = s._with_fields({**s.fields, pid: f})
     out.scale[pid] = population
     out.photons[pid] = []
     return coords, out

@@ -33,6 +33,8 @@ class ComplexField:
             raise DomainError(
                 f"psi shape {self.psi.shape} does not match lattice {self.spec.dims}"
             )
+        if not np.all(np.isfinite(self.psi)):
+            raise DomainError("psi must be finite")
 
     def normalize(self) -> "ComplexField":
         n = np.linalg.norm(self.psi)

@@ -112,10 +112,11 @@ def reconstruct_wavefunction(s: SwarmState, pid: str = "p0"):
     return raw / norm, norm
 
 
-def _split(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The four non-negative type fields encoding re + i*im, at most one of
-    each (+, -) pair non-zero per cell."""
-    f = np.stack([re, im, -re, -im])
+def _split(f: np.ndarray) -> np.ndarray:
+    """Fill a (4, *dims) array whose rows 0, 1 hold re, im with the four
+    non-negative type fields encoding re + i*im, at most one of each (+, -)
+    pair non-zero per cell; in place."""
+    np.negative(f[:2], out=f[2:])
     return np.maximum(f, 0.0, out=f)
 
 
@@ -125,7 +126,11 @@ def cancel_pairs(s: SwarmState) -> SwarmState:
     Leaves the reconstructed wave function exactly unchanged; afterwards
     min(s1,s3) = min(s2,s4) = 0 in every cell.
     """
-    fields = {pid: _split(f[0] - f[2], f[1] - f[3]) for pid, f in s.fields.items()}
+    fields = {}
+    for pid, f in s.fields.items():
+        out = np.empty(f.shape)
+        np.subtract(f[:2], f[2:], out=out[:2])
+        fields[pid] = _split(out)
     return s._with_fields(fields)
 
 

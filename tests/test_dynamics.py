@@ -7,6 +7,7 @@ from qswarm import (
     AmplitudeQuantum,
     Boundary,
     ConfigError,
+    DomainError,
     FieldGrid,
     LatticeSpec,
     MemoryBudgetError,
@@ -68,6 +69,13 @@ def test_calibration_needs_hop_rate():
     spec = LatticeSpec((16,))
     with pytest.raises(ConfigError):
         calibrated_emission_rate(spec, StepParams(dt=0.1, p_phot=0.0))
+
+
+def test_potential_rejects_non_finite():
+    spec = LatticeSpec((4,))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            PotentialField(FieldGrid(spec, np.array([0.0, bad, 1.0, 0.0])))
 
 
 def test_stability_bound():
@@ -289,8 +297,8 @@ def test_diffuse_counts_stack_matches_per_type_calls(dims, boundary):
 
 
 def test_steps_leave_their_input_unchanged():
-    """States share photon cohorts, so no operation may write its input's
-    fields, cohorts, scale or time."""
+    """States share photon cohorts and unchanged fields, so no operation may
+    write its input's fields, cohorts, scale or time."""
     spec = LatticeSpec((12,), boundary="reflecting")
     x = np.arange(12.0)
     psi = np.exp(-((x - 6.0) ** 2) / 8 + 0.5j * x)
@@ -302,6 +310,8 @@ def test_steps_leave_their_input_unchanged():
     for _ in range(2):
         s = step_stochastic(s, V, p, rng)
     assert len(s.photons["p0"]) == 2  # cohorts in flight
+    other = sample_from_wavefunction(psi.conj(), spec, 1000, rng, pid="p1")
+    s.add_particle("p1", other.fields["p1"], other.scale["p1"])
 
     def snapshot(state):
         return (
@@ -319,6 +329,10 @@ def test_steps_leave_their_input_unchanged():
         lambda: cancel_pairs(s),
         lambda: resample(s, 500.0, rng),
         lambda: measure_swarm(s, AmplitudeQuantum(0.1), rng),
+        # the measured state shares p1's array with its input
+        lambda: step_stochastic(measure_swarm(s, AmplitudeQuantum(0.1), rng)[1], V, p, rng),
+        lambda: step_meanfield(measure_swarm(s, AmplitudeQuantum(0.1), rng)[1], V,
+                               StepParams(dt=0.1)),
     ):
         op()
         fields, cohorts, scale, time = snapshot(s)

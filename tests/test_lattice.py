@@ -17,6 +17,8 @@ from qswarm import (
     laplacian_matrix,
     relax_to_green,
 )
+from qswarm import lattice
+from qswarm.lattice import _add_inflow, _neighbor_sum
 
 
 def test_spec_validation():
@@ -151,6 +153,85 @@ def test_diffusion_is_identity_plus_laplacian(shape, boundary):
     assert np.allclose(moved, c * field_laplacian(f).values, rtol=0, atol=1e-12)
 
 
+def _roll_inflow(v, axis, step, boundary):
+    """Reference for _add_inflow: a rolled copy whose wrapped-in slice is
+    masked out (absorbing) or replaced by the mass that tried to leave
+    (reflecting)."""
+    out = np.roll(v, step, axis=axis)
+    if boundary is Boundary.PERIODIC:
+        return out
+    n = v.shape[axis]
+    a = np.arange(n).reshape([n if k == axis else 1 for k in range(v.ndim)])
+    out = np.where((a - step >= 0) & (a - step < n), out, 0)
+    if boundary is Boundary.REFLECTING:
+        out = out + np.where((a + step < 0) | (a + step >= n), v, 0)
+    return out
+
+
+@pytest.mark.parametrize("shape, boundary", _stencil_cases())
+def test_add_inflow_matches_roll_reference(shape, boundary):
+    """The flat-shift primitive and the neighbor sum equal a roll-based
+    reference bit for bit, for real, complex and non-contiguous inputs."""
+    rng = np.random.default_rng(5)
+    steps = (1, -1, 2, -2) + (() if boundary is Boundary.REFLECTING else (9, -9))
+    real = rng.standard_normal(shape)
+    inputs = {
+        "float": real,
+        "complex": real + 1j * rng.standard_normal(shape),
+        "transposed": rng.standard_normal(shape[::-1]).T,
+    }
+    for kind, v in inputs.items():
+        for axis in range(len(shape)):
+            for step in steps:
+                total = rng.standard_normal(shape).astype(v.dtype)
+                expected = total + _roll_inflow(v, axis, step, boundary)
+                _add_inflow(total, v, axis, step, boundary)
+                assert np.array_equal(total, expected), (kind, axis, step)
+        expected = np.zeros(shape, v.dtype)
+        for axis in range(len(shape)):
+            for step in (+1, -1):
+                expected += _roll_inflow(v, axis, step, boundary)
+        assert np.array_equal(_neighbor_sum(v, boundary), expected), kind
+
+
+@pytest.mark.parametrize("absorbing", [0.0, 0.02])
+def test_green_matches_plain_loop(absorbing):
+    """relax_to_green's in-place sweep gives the iteration count and the
+    field of the plain iteration F <- diffuse(F) + source - absorption*F."""
+    spec = LatticeSpec((9, 9, 9), boundary=Boundary.ABSORBING)
+    src = spec.zeros()
+    src[4, 4, 4] = 2.0
+    absorb = np.full(spec.dims, absorbing)
+    res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec, absorb), 0.5, 5000, tol=1e-9)
+    F = spec.zeros()
+    for it in range(1, 5001):
+        Fn = diffuse_field(FieldGrid(spec, F), 0.5).values + src - absorb * F
+        change = np.max(np.abs(Fn - F) / np.maximum(np.abs(Fn), 1e-300))
+        F = Fn
+        if change < 1e-9:
+            break
+    assert res.converged and res.iterations == it
+    assert res.last_change == change
+    assert np.array_equal(res.field.values, F)
+
+
+def test_green_sweeps_once_through_diffuse_field(monkeypatch):
+    """Each sweep calls lattice.diffuse_field, looked up on the module, once."""
+    calls = []
+    inner = lattice.diffuse_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "diffuse_field", counted)
+    spec = LatticeSpec((9, 9, 9), boundary=Boundary.ABSORBING)
+    src = spec.zeros()
+    src[4, 4, 4] = 1.0
+    res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec), 0.5, 5000, tol=1e-9)
+    assert res.converged and len(calls) == res.iterations
+
+
 def test_green_zero_source():
     spec = LatticeSpec((9,), boundary=Boundary.ABSORBING)
     res = relax_to_green(FieldGrid(spec), FieldGrid(spec), 0.5, 100)
@@ -199,3 +280,18 @@ def test_green_rejects_negative_source():
     spec = LatticeSpec((9,))
     with pytest.raises(DomainError):
         relax_to_green(FieldGrid(spec, -np.ones(9)), FieldGrid(spec), 0.5, 10)
+
+
+def test_green_rejects_non_finite_input():
+    """A NaN source or an infinite absorption used to relax to an all-NaN field."""
+    spec = LatticeSpec((9,), boundary=Boundary.ABSORBING)
+    src = spec.zeros()
+    src[4] = 1.0
+    bad_src = src.copy()
+    bad_src[2] = np.nan
+    bad_absorb = spec.zeros()
+    bad_absorb[3] = np.inf
+    with pytest.raises(DomainError):
+        relax_to_green(FieldGrid(spec, bad_src), FieldGrid(spec), 0.5, 10)
+    with pytest.raises(DomainError):
+        relax_to_green(FieldGrid(spec, src), FieldGrid(spec, bad_absorb), 0.5, 10)

@@ -150,3 +150,10 @@ def test_density_error_hand_computed():
 def test_density_error_shape_mismatch():
     with pytest.raises(DomainError):
         density_error(np.ones(4), np.ones(5))
+
+
+def test_complex_field_rejects_non_finite():
+    spec = LatticeSpec((4,))
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(DomainError):
+            ComplexField(spec, np.array([1.0, bad, 0.0, 0.0]))
