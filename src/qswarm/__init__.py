@@ -73,10 +73,9 @@ from .oracle import (
 )
 from .composite import (
     Branch,
-    FockState,
+    Composite,
     HierarchicalState,
     InternalState,
-    ParticleTypeSpec,
     assert_swarm_stability,
     com_internal,
     decay,

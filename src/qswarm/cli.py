@@ -28,7 +28,7 @@ from .dynamics import PotentialField, step_meanfield, step_stochastic
 from .errors import ConfigError, QswarmError
 from .frames import read_frame, write_frame
 from .lattice import FieldGrid, LatticeSpec, relax_to_green
-from .measure import (AmplitudeQuantum, elementary_event_counts, measure_swarm,
+from .measure import (AmplitudeQuantum, born_measure, elementary_event_counts,
                       reduce_state, swarm_discrete_state)
 from .oracle import density_error, reference_evolve
 from .scenario import Scenario, build_initial, build_potential, load_scenario_file
@@ -88,10 +88,13 @@ def run(scenario: Scenario, outdir: str) -> dict:
         psi = psi0
         emit(0, psi.density(), 0.0)
         t0 = _time.perf_counter()
-        for k in range(1, scenario.steps + 1):
-            psi = reference_evolve(psi, V, p.dt, p.dt)
-            if k % every == 0 or k == scenario.steps:
-                emit(k, psi.density(), k * p.dt)
+        k = 0
+        while k < scenario.steps:
+            # one factorisation per output interval
+            n = min(every, scenario.steps - k)
+            psi = reference_evolve(psi, V, n * p.dt, p.dt)
+            k += n
+            emit(k, psi.density(), k * p.dt)
         wall = _time.perf_counter() - t0
         norm = float(np.linalg.norm(psi.psi))
         population = 0.0
@@ -127,10 +130,12 @@ def run(scenario: Scenario, outdir: str) -> dict:
 
 
 def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
-    """Repeated position measurement of fresh swarm copies; urn statistics.
+    """Repeated Born draws from the initial swarm's urn; urn statistics.
 
-    Draws are scored against the urn weights l_j / sum(l) that
-    :func:`born_measure` samples, not against the undiscretised |lambda_j|^2.
+    The swarm is reduced once; draw k is :func:`born_measure` on that urn
+    with ``step_rng(seed, k + 1)``, the cell :func:`measure_swarm` would
+    return.  Draws are scored against the urn weights l_j / sum(l), not
+    against the undiscretised |lambda_j|^2.
     """
     if draws < 1000:
         raise ConfigError("born-test needs draws >= 1000")
@@ -145,14 +150,13 @@ def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
     events = elementary_event_counts(reduced, q)
     theory = events / events.sum()
 
+    weight = dict(zip(labels, theory))
     counts: dict[int, int] = {}
     with open(os.path.join(outdir, "meas.log"), "w") as log:
         for k in range(draws):
-            cell, _ = measure_swarm(base, q, step_rng(scenario.seed, k + 1))
-            flat = int(np.ravel_multi_index(cell, spec.dims))
+            flat = born_measure(reduced, q, step_rng(scenario.seed, k + 1))
             counts[flat] = counts.get(flat, 0) + 1
-            pt = theory[labels.index(flat)] if flat in labels else 0.0
-            log.write(f"MEAS {k} {flat} {pt:.9g}\n")
+            log.write(f"MEAS {k} {flat} {weight[flat]:.9g}\n")
 
     observed = np.array([counts.get(l, 0) for l in labels], dtype=float)
     chi2, pval = sstats.chisquare(observed, theory * draws)

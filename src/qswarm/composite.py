@@ -3,7 +3,8 @@
 Two particles glue into a single new particle whose samples all carry the
 same internal (relative-coordinate) state; a composite decays back by
 splitting every sample at once (swarm stability principle: a swarm is
-never partially split).  Hierarchical states generalize this nesting;
+never partially split).  The state holds each composite's record
+(:class:`Composite`).  Hierarchical states generalize this nesting;
 identical-particle sectors use determinant/permanent coefficients with a
 small-n brute-force evaluator.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     SwarmStabilityError,
 )
 from .lattice import Boundary, LatticeSpec, _add_inflow
-from .measure import AmplitudeQuantum, DiscreteState, born_measure
+from .measure import AmplitudeQuantum, DiscreteState, born_measure, measure_swarm
 from .swarm import SwarmState, reconstruct_wavefunction, sample_from_wavefunction
 
 
@@ -67,34 +68,45 @@ class InternalState:
         return np.array([b.amplitude for b in self.branches])
 
 
-@dataclass
-class ParticleTypeSpec:
-    """Entry of the particle-type registry: a (possibly composite) type."""
+@dataclass(frozen=True)
+class Composite:
+    """A composite particle's record, stored in ``SwarmState.internal[cid]``.
 
-    id: str
-    constituents: tuple[str, ...] = ()
-    internal_state: InternalState | None = None
+    ``constituents`` are the ids the composite decays into, ``internal`` is
+    the internal state every sample carries, and ``parts`` holds each
+    constituent's own record (None for an elementary particle), so nested
+    composites decay all the way down.
+    """
 
-    @property
-    def is_composite(self) -> bool:
-        return bool(self.constituents)
+    constituents: tuple[str, str]
+    internal: InternalState
+    parts: tuple[Composite | None, Composite | None]
+
+
+def _composite(state: SwarmState, cid: str) -> Composite:
+    rec = state.internal.get(cid)
+    if not isinstance(rec, Composite):
+        raise DomainError(f"{cid!r} is not a composite particle")
+    return rec
 
 
 def _shift(psi: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
-    """Translate a field by an integer offset; support must stay on-lattice
-    for non-periodic boundaries."""
+    """Translate a field by an integer offset; off a periodic lattice, support
+    that would leave the lattice is an error."""
     off = tuple(int(o) for o in offset)
-    boundary = spec.boundary if spec.boundary is Boundary.PERIODIC else Boundary.ABSORBING
+    periodic = spec.boundary is Boundary.PERIODIC
     out = psi
     for axis, o in enumerate(off):
         if o == 0:
             continue
-        moved, wrapped = np.zeros(out.shape, out.dtype), np.zeros(out.shape, out.dtype)
-        _add_inflow(moved, out, axis, o, boundary)
-        # what an absorbing shift drops is what a periodic one wraps around
-        _add_inflow(wrapped, out, axis, o, Boundary.PERIODIC)
-        if np.max(np.abs(wrapped - moved)) > 1e-12:
-            raise DomainError(f"shift by {off} pushes support off the lattice")
+        if not periodic:
+            # the planes a shift by o moves off the lattice (all, if |o| >= n)
+            leave = [slice(None)] * out.ndim
+            leave[axis] = slice(max(out.shape[axis] - o, 0), None) if o > 0 else slice(0, -o)
+            if np.max(np.abs(out[tuple(leave)])) > 1e-12:
+                raise DomainError(f"shift by {off} pushes support off the lattice")
+        moved = np.zeros(out.shape, out.dtype)
+        _add_inflow(moved, out, axis, o, spec.boundary if periodic else Boundary.ABSORBING)
         out = moved
     return out
 
@@ -103,6 +115,14 @@ def _branch_offsets(branch: Branch, nconst: int, ndim: int):
     if branch.offsets is None:
         return tuple((0,) * ndim for _ in range(nconst))
     return branch.offsets
+
+
+def _draw_branch(internal: InternalState, q: AmplitudeQuantum, rng) -> Branch:
+    """Born draw of one branch over the branch weights."""
+    idx = born_measure(
+        DiscreteState(list(range(len(internal.branches))), internal.amplitudes()), q, rng
+    )
+    return internal.branches[idx]
 
 
 def com_internal(xa, xb, labels=(0, 1)) -> InternalState:
@@ -118,7 +138,6 @@ def com_internal(xa, xb, labels=(0, 1)) -> InternalState:
 
 def glue(
     state: SwarmState,
-    registry: dict,
     a: str,
     b: str,
     internal: InternalState,
@@ -132,7 +151,8 @@ def glue(
     yield the same position amplitude, otherwise the requested internal
     state would depend on the composite position and gluing fails.  All
     samples of the new swarm carry the same internal state (swarm
-    stability principle).
+    stability principle).  The state stores the composite's
+    :class:`Composite` record under its id, keeping the records of a and b.
     """
     spec = state.spec
     psi_a, _ = reconstruct_wavefunction(state, a)
@@ -156,91 +176,63 @@ def glue(
     K = max(1, int(round((state.fields[a].sum() + state.fields[b].sum()) / 2)))
     cid = cid or f"({a}+{b})"
     new = sample_from_wavefunction(psi_c, spec, K, rng, pid=cid)
+    record = Composite((a, b), internal, (state.internal.get(a), state.internal.get(b)))
     state.remove_particle(a)
     state.remove_particle(b)
     state.add_particle(cid, new.fields[cid], new.scale[cid])
-    state.internal[cid] = internal
-    registry[cid] = ParticleTypeSpec(cid, (a, b), internal)
+    state.internal[cid] = record
     return cid
 
 
-def decay(
-    state: SwarmState,
-    registry: dict,
-    cid: str,
-    rng,
-    fraction: float = 1.0,
-) -> tuple[str, str]:
+def decay(state: SwarmState, cid: str, rng) -> tuple[str, str]:
     """Split a composite back into its two constituents.
 
-    Every sample divides at once; asking for a partial split violates the
-    swarm stability principle.  A multi-branch internal state first
-    collapses to one branch by a Born draw over the branch weights.
+    Every sample divides at once (a swarm is never partially split).  A
+    multi-branch internal state first collapses to one branch by a Born
+    draw over the branch weights.  Each constituent gets its own record
+    back, so a constituent that is itself a composite can decay in turn.
     """
-    pspec = registry.get(cid)
-    if pspec is None or not pspec.is_composite:
-        raise DomainError(f"{cid!r} is not a composite particle")
-    if fraction != 1.0:
-        raise SwarmStabilityError("a swarm is never partially split")
+    rec = _composite(state, cid)
     spec = state.spec
-    a, b = pspec.constituents
-    internal: InternalState = state.internal[cid]
+    a, b = rec.constituents
 
     population = state.fields[cid].sum()
     if population == 0:
         state.remove_particle(cid)
         state.add_particle(a, np.zeros((4, *spec.dims)), 1.0)
         state.add_particle(b, np.zeros((4, *spec.dims)), 1.0)
-        return a, b
-
-    psi_c, _ = reconstruct_wavefunction(state, cid)
-    branches = internal.branches
-    if len(branches) > 1:
-        q = AmplitudeQuantum(1.0 / math.sqrt(4 * len(branches)))
-        idx = born_measure(
-            DiscreteState(list(range(len(branches))), internal.amplitudes()), q, rng
-        )
-        branch = branches[idx]
     else:
-        branch = branches[0]
+        psi_c, _ = reconstruct_wavefunction(state, cid)
+        branches = rec.internal.branches
+        if len(branches) > 1:
+            q = AmplitudeQuantum(1.0 / math.sqrt(4 * len(branches)))
+            branch = _draw_branch(rec.internal, q, rng)
+        else:
+            branch = branches[0]
 
-    oa, ob = _branch_offsets(branch, 2, spec.ndim)
-    K = max(1, int(round(population)))
-    for pid, off in ((a, oa), (b, ob)):
-        psi = _shift(psi_c, off, spec)
-        part = sample_from_wavefunction(psi, spec, K, rng, pid=pid)
-        state.add_particle(pid, part.fields[pid], part.scale[pid])
-    state.remove_particle(cid)
+        oa, ob = _branch_offsets(branch, 2, spec.ndim)
+        K = max(1, int(round(population)))
+        for pid, off in ((a, oa), (b, ob)):
+            psi = _shift(psi_c, off, spec)
+            part = sample_from_wavefunction(psi, spec, K, rng, pid=pid)
+            state.add_particle(pid, part.fields[pid], part.scale[pid])
+        state.remove_particle(cid)
+    for pid, part in zip(rec.constituents, rec.parts):
+        if part is not None:
+            state.internal[pid] = part
     return a, b
 
 
-def measure_correlated(
-    state: SwarmState,
-    registry: dict,
-    cid: str,
-    q: AmplitudeQuantum,
-    rng,
-) -> tuple:
+def measure_correlated(state: SwarmState, cid: str, q: AmplitudeQuantum, rng) -> tuple:
     """Measure the composite position, then the internal branch.
 
     Returns the pair of constituent outcome labels of the drawn branch;
     for a (|00> + |11>)/sqrt(2) internal state the two labels always
     agree while each marginal is uniform.
     """
-    pspec = registry.get(cid)
-    if pspec is None or not pspec.is_composite:
-        raise DomainError(f"{cid!r} is not a composite particle")
-    from .measure import measure_swarm
-
+    rec = _composite(state, cid)
     measure_swarm(state, q, rng, pid=cid)  # position draw (outcome unused here)
-    internal: InternalState = state.internal[cid]
-    idx = born_measure(
-        DiscreteState(list(range(len(internal.branches))), internal.amplitudes()),
-        q,
-        rng,
-    )
-    labels = internal.branches[idx].labels
-    return tuple(labels)
+    return tuple(_draw_branch(rec.internal, q, rng).labels)
 
 
 def assert_swarm_stability(state: SwarmState) -> None:
@@ -325,27 +317,6 @@ def depth_class(h: HierarchicalState, p: int, tol: float = 1e-9) -> bool:
 
 # ---------------------------------------------------------------------------
 # identical particles: determinant / permanent coefficients
-
-
-@dataclass
-class FockState:
-    """Occupation-number state over N one-particle basis labels."""
-
-    occupations: tuple[int, ...]
-    statistics: str  # "fermion" | "boson"
-    coefficients: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.statistics not in ("fermion", "boson"):
-            raise DomainError("statistics must be 'fermion' or 'boson'")
-        if any(o < 0 for o in self.occupations):
-            raise DomainError("occupations must be non-negative")
-        if self.statistics == "fermion" and any(o > 1 for o in self.occupations):
-            raise DomainError("fermion occupations exceed 1")
-
-    @property
-    def n_particles(self) -> int:
-        return sum(self.occupations)
 
 
 _MAX_BRUTE_N = 8

@@ -65,18 +65,17 @@ class StepParams:
     """All tunable rates of one evolution step.
 
     ``p_phot`` is the per-step photon hop rate (complement of the stay
-    probability); particle samples do not move by themselves.  ``r_emit``
-    is the connected-photon emission rate per particle sample per unit
-    time; if None it is calibrated so the expected conversion flux
-    reproduces the unit kinetic coefficient (see
-    :func:`calibrated_emission_rate`).  ``dt_phot`` is the photon lifetime
-    before conversion.  ``A`` is the resampling memory constant (None
-    disables resampling).  ``max_population`` bounds the stored samples.
+    probability); particle samples do not move by themselves.  The
+    connected-photon emission rate is not a parameter: it is calibrated so
+    the expected conversion flux reproduces the unit kinetic coefficient
+    (see :func:`calibrated_emission_rate`).  ``dt_phot`` is the photon
+    lifetime before conversion.  ``A`` is the resampling memory constant
+    (None disables resampling).  ``max_population`` bounds the stored
+    samples.
     """
 
     dt: float
     p_phot: float = 1.0
-    r_emit: float | None = None
     dt_phot: float | None = None
     A: float | None = None
     max_population: float | None = None
@@ -90,8 +89,6 @@ class StepParams:
             self.dt_phot = self.dt
         if self.dt_phot < self.dt - 1e-12:
             raise ConfigError("photon lifetime dt_phot must be >= dt")
-        if self.r_emit is not None and self.r_emit < 0:
-            raise ConfigError("emission rate must be >= 0")
         if self.A is not None and not self.A > 0:
             raise ConfigError("memory constant A must be positive")
 
@@ -109,13 +106,9 @@ def calibrated_emission_rate(spec: LatticeSpec, p: StepParams) -> float:
     c = n_age * p_phot * h^2 / (2d); with emission rate r the expected
     deposit per step is r*dt*c*Lap, so r = 1/c.
     """
-    if p.r_emit is not None:
-        return p.r_emit
     c = p.n_age * p.p_phot * spec.h**2 / (2 * spec.ndim)
     if c <= 0:
-        raise ConfigError(
-            "cannot calibrate emission rate with zero photon hop rate; set r_emit"
-        )
+        raise ConfigError("cannot calibrate emission rate with zero photon hop rate")
     return 1.0 / c
 
 
@@ -206,7 +199,7 @@ def step_stochastic(
     population is resampled to the memory budget (``normalize``).
     """
     spec = s.spec
-    r_emit = calibrated_emission_rate(spec, p) if (p.r_emit is None) else p.r_emit
+    emit_rate = calibrated_emission_rate(spec, p)
     out = s.copy()
     out.time += p.dt
     vvals = V.grid.values
@@ -226,7 +219,7 @@ def step_stochastic(
                 kept.append(cohort)
 
         # (a) emission of a fresh cohort
-        lam = f * (r_emit * p.dt)
+        lam = f * (emit_rate * p.dt)
         emitted = _stochastic_round(lam, rng)
         if emitted.any():
             # each type-j photon is paired with a type j-1 anti-sample

@@ -179,7 +179,7 @@ def _neighbor_sum(v: np.ndarray, boundary: Boundary) -> np.ndarray:
 def diffuse_field(f: FieldGrid, stay_prob: float) -> FieldGrid:
     """One step of nearest-neighbor diffusion.
 
-    A fraction ``stay_prob`` of each cell's mass stays put and the rest is
+    A share ``stay_prob`` of each cell's mass stays put and the rest is
     split equally over the 2d axis neighbors.  Total mass is conserved under
     periodic and reflecting boundaries.
     """

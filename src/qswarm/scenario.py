@@ -22,7 +22,7 @@ the offending line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class Scenario:
     output_every: int
     output_types: bool = False
     output_pgm: bool = False
-    raw: dict = field(default_factory=dict)
 
 
 class _Reader:
@@ -198,7 +197,6 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
     step = StepParams(
         dt=r.get_float("step.dt", required=True),
         p_phot=r.get_float("step.p_phot", 1.0),
-        r_emit=r.get_float("step.r_emit"),
         dt_phot=r.get_float("step.dt_phot"),
         A=r.get_float("step.A"),
         max_population=r.get_float("step.max_population"),
@@ -226,9 +224,7 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
         output_every=r.get_int("output.every", 1, minimum=1),
         output_types=r.get_bool("output.types", False),
         output_pgm=r.get_bool("output.pgm", False),
-        raw=cfg,
     )
-    r.used.add("run.duration")
     r.check_unknown()
     return scenario
 

@@ -43,7 +43,11 @@ class PhotonCohort:
 
 @dataclass
 class SwarmState:
-    """Full simulation state: per-particle four-type fields plus photons."""
+    """Full simulation state: per-particle four-type fields plus photons.
+
+    ``internal`` maps each composite particle's id to its record
+    (:class:`qswarm.composite.Composite`); elementary particles have none.
+    """
 
     spec: LatticeSpec
     fields: dict[str, np.ndarray] = dc_field(default_factory=dict)

@@ -320,12 +320,11 @@ def test_acceptance_9_composite_entanglement():
     sb = sample_from_wavefunction(psi, spec, 10**4, rng, pid="b",
                                   deterministic=True)
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
-    registry = {}
-    cid = glue(state, registry, "a", "b", bell, rng)
+    cid = glue(state, "a", "b", bell, rng)
     q = AmplitudeQuantum(0.05)
     draws = 10**4
     outcomes = [
-        measure_correlated(state.copy(), registry, cid, q, step_rng(11, k))
+        measure_correlated(state.copy(), cid, q, step_rng(11, k))
         for k in range(draws)
     ]
     agree = all(a == b for a, b in outcomes)
@@ -343,8 +342,7 @@ def test_acceptance_9_composite_entanglement():
     s2b = sample_from_wavefunction(sup, spec, 10**5, rng2, pid="b",
                                    deterministic=True)
     st2.add_particle("b", s2b.fields["b"], s2b.scale["b"])
-    reg2 = {}
-    cid2 = glue(st2, reg2, "a", "b", bell, rng2)
+    cid2 = glue(st2, "a", "b", bell, rng2)
 
     V = PotentialField.zero(spec)
     p = StepParams(dt=0.2)

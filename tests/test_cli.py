@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qswarm import read_frame
+from qswarm import read_frame, sample_from_wavefunction
 from qswarm.cli import main
 
 
@@ -134,6 +134,51 @@ def test_born_test_report(tmp_path, capsys):
             freq = sum(l.split()[2] == str(label) for l in log) / 2000
             assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / 2000)
             assert f"theory={p:.6g} " in report[f"LABEL_{label}"]
+
+
+def test_born_test_log_matches_measure_swarm(tmp_path, capsys):
+    """born-test draws from the urn it reduced once; draw k is the cell that
+    measure_swarm finds on the initial swarm with step_rng(seed, k + 1)."""
+    from qswarm import AmplitudeQuantum, build_initial, load_scenario_file, measure_swarm
+    from qswarm.cli import step_rng
+
+    cfg = write_cfg(tmp_path, "lattice.dims = 6 5\ninitial.kind = gaussian\n"
+                              "initial.width = 2\nstep.dt = 0.1\nrun.samples = 5000\n")
+    code, _, _ = run_cli(capsys, "born-test", cfg, "--draws", "1000", "--seed", "3",
+                         "--out", str(tmp_path))
+    assert code == 0
+    labels = [int(line.split()[2]) for line in (tmp_path / "meas.log").read_text().splitlines()]
+    sc = load_scenario_file(cfg)
+    base = sample_from_wavefunction(build_initial(sc).psi, sc.lattice, sc.samples,
+                                    step_rng(3, 0), deterministic=True)
+    q = AmplitudeQuantum.for_lattice(sc.lattice.ncells)
+    for k in range(100):
+        cell, _ = measure_swarm(base, q, step_rng(3, k + 1))
+        assert labels[k] == np.ravel_multi_index(cell, sc.lattice.dims)
+
+
+def test_run_oracle_frames_match_per_step_loop(tmp_path, capsys):
+    """Oracle mode evolves one output interval per call; its frames equal a
+    reference_evolve loop of single steps, bit for bit."""
+    from qswarm import build_initial, build_potential, load_scenario_file, reference_evolve
+
+    cfg = write_cfg(tmp_path, "lattice.dims = 8 6\nlattice.boundary = reflecting\n"
+                              "initial.kind = gaussian\ninitial.width = 1.5\n"
+                              "initial.momentum = 0.5 0\npotential.kind = harmonic\n"
+                              "potential.strength = 0.1\nstep.dt = 0.05\nrun.mode = oracle\n"
+                              "run.steps = 7\noutput.every = 3\n")
+    code, report, _ = run_cli(capsys, "run", cfg, "--out", str(tmp_path))
+    assert code == 0
+    assert report["FRAMES"] == "4"  # steps 0, 3, 6, 7
+    sc = load_scenario_file(cfg)
+    psi, V, dt = build_initial(sc), build_potential(sc), sc.step.dt
+    for k in range(8):
+        if k:
+            psi = reference_evolve(psi, V, dt, dt)
+        if k in (0, 3, 6, 7):
+            fr = read_frame(tmp_path / f"density_{k:06d}.frame")
+            assert np.array_equal(fr.values, psi.density()) and fr.time == k * dt
+    assert float(report["FINAL_NORM"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_born_test_needs_draws(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Gluing/decay, hierarchical depth classes, fermion/boson symmetrization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qswarm import (
     AmplitudeQuantum,
     Branch,
+    Composite,
     DisjointnessError,
     DomainError,
     InternalState,
     InterferenceConditionError,
     LatticeSpec,
     SwarmStabilityError,
+    SwarmState,
     assert_swarm_stability,
     com_internal,
     decay,
@@ -26,7 +30,6 @@ from qswarm import (
     symmetrized_amplitude,
     union_density,
 )
-from qswarm.composite import FockState
 
 
 def delta(spec, cell):
@@ -64,12 +67,12 @@ def test_internal_state_validation():
 def test_glue_deltas_to_center_of_mass():
     spec = LatticeSpec((16,))
     state = two_particle_state(spec, (4,), (8,))
-    registry = {}
-    cid = glue(state, registry, "a", "b", com_internal((4,), (8,)),
+    cid = glue(state, "a", "b", com_internal((4,), (8,)),
                np.random.default_rng(0))
     psi, _ = reconstruct_wavefunction(state, cid)
     assert np.argmax(np.abs(psi)) == 6  # center of mass
-    assert registry[cid].constituents == ("a", "b")
+    assert state.internal[cid].constituents == ("a", "b")
+    assert state.internal[cid].parts == (None, None)
     assert "a" not in state.fields and "b" not in state.fields
     assert_swarm_stability(state)
 
@@ -77,10 +80,9 @@ def test_glue_deltas_to_center_of_mass():
 def test_glue_decay_roundtrip():
     spec = LatticeSpec((16,))
     state = two_particle_state(spec, (4,), (9,), K=30000)
-    registry = {}
-    cid = glue(state, registry, "a", "b", com_internal((4,), (9,)),
+    cid = glue(state, "a", "b", com_internal((4,), (9,)),
                np.random.default_rng(1))
-    decay(state, registry, cid, np.random.default_rng(2))
+    decay(state, cid, np.random.default_rng(2))
     pa, _ = reconstruct_wavefunction(state, "a")
     pb, _ = reconstruct_wavefunction(state, "b")
     assert np.argmax(np.abs(pa)) == 4
@@ -103,15 +105,42 @@ def test_glue_decay_roundtrip_spread_states():
     sb = sample_from_wavefunction(psi_b, spec, K, rng, pid="b",
                                   deterministic=True)
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
-    registry = {}
     # b is a translated by +3, so fix offsets (0, +3) from the composite
     internal = InternalState((Branch(1.0 + 0j, (0, 1), ((0,), (3,))),))
-    cid = glue(state, registry, "a", "b", internal, rng)
-    decay(state, registry, cid, rng)
+    cid = glue(state, "a", "b", internal, rng)
+    decay(state, cid, rng)
     ra, _ = reconstruct_wavefunction(state, "a")
     rb, _ = reconstruct_wavefunction(state, "b")
     assert np.linalg.norm(np.abs(ra) ** 2 - np.abs(psi_a) ** 2) < 0.02
     assert np.linalg.norm(np.abs(rb) ** 2 - np.abs(psi_b) ** 2) < 0.02
+
+
+def test_nested_glue_decay_roundtrip():
+    """(a+b)+d decays to (a+b) and d, and (a+b) in turn to a and b: each
+    composite keeps its constituents' records, and a, b and d come back
+    with their own densities."""
+    spec = LatticeSpec((16,))
+    cells = {"a": 3, "b": 6, "d": 11}
+    rng = np.random.default_rng(7)
+    state = SwarmState(spec)
+    for pid, cell in cells.items():
+        s = sample_from_wavefunction(delta(spec, cell), spec, 4000, rng, pid=pid)
+        state.add_particle(pid, s.fields[pid], s.scale[pid])
+    ab = glue(state, "a", "b", com_internal((3,), (6,)), rng)  # at cell 4
+    abd = glue(state, ab, "d", com_internal((4,), (11,)), rng)
+    assert ab not in state.internal  # its record travels inside the outer one
+    assert state.internal[abd].parts == (
+        Composite(("a", "b"), com_internal((3,), (6,)), (None, None)), None)
+    assert decay(state, abd, rng) == (ab, "d")
+    assert state.internal[ab].constituents == ("a", "b") and "d" not in state.internal
+    assert decay(state, ab, rng) == ("a", "b")
+    assert state.internal == {}
+    assert sorted(state.particles()) == ["a", "b", "d"]
+    for pid, cell in cells.items():
+        psi, _ = reconstruct_wavefunction(state, pid)
+        assert np.array_equal(np.abs(psi) ** 2, np.abs(delta(spec, cell)) ** 2)
+    with pytest.raises(DomainError, match="not a composite"):
+        decay(state, ab, rng)
 
 
 def test_glue_interference_condition():
@@ -128,37 +157,25 @@ def test_glue_interference_condition():
     sb = sample_from_wavefunction(psi_b, spec, 10000, rng, pid="b")
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
     with pytest.raises(InterferenceConditionError):
-        glue(state, {}, "a", "b", com_internal((4,), (9,)), rng)
-
-
-def test_partial_decay_forbidden():
-    spec = LatticeSpec((16,))
-    state = two_particle_state(spec, (4,), (8,))
-    registry = {}
-    cid = glue(state, registry, "a", "b", com_internal((4,), (8,)),
-               np.random.default_rng(0))
-    with pytest.raises(SwarmStabilityError):
-        decay(state, registry, cid, np.random.default_rng(0), fraction=0.5)
+        glue(state, "a", "b", com_internal((4,), (9,)), rng)
 
 
 def test_decay_empty_composite():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (5,))
-    registry = {}
-    cid = glue(state, registry, "a", "b", com_internal((2,), (5,)),
+    cid = glue(state, "a", "b", com_internal((2,), (5,)),
                np.random.default_rng(0))
     state.fields[cid][:] = 0.0
-    a, b = decay(state, registry, cid, np.random.default_rng(0))
+    a, b = decay(state, cid, np.random.default_rng(0))
     assert state.fields[a].sum() == 0 and state.fields[b].sum() == 0
 
 
 def test_decay_delta_internal_offsets():
     spec = LatticeSpec((16,))
     state = two_particle_state(spec, (5,), (9,))
-    registry = {}
-    cid = glue(state, registry, "a", "b", com_internal((5,), (9,)),
+    cid = glue(state, "a", "b", com_internal((5,), (9,)),
                np.random.default_rng(0))
-    decay(state, registry, cid, np.random.default_rng(1))
+    decay(state, cid, np.random.default_rng(1))
     pa, _ = reconstruct_wavefunction(state, "a")
     pb, _ = reconstruct_wavefunction(state, "b")
     # offsets from the rounded center of mass (cell 7): -2 and +2
@@ -170,27 +187,58 @@ def test_decay_on_reflecting_lattice():
     one that does succeeds, one whose offset pushes support off fails."""
     spec = LatticeSpec((12,), boundary="reflecting")
     state = two_particle_state(spec, (3,), (7,))
-    registry = {}
-    cid = glue(state, registry, "a", "b", com_internal((3,), (7,)),
+    cid = glue(state, "a", "b", com_internal((3,), (7,)),
                np.random.default_rng(0))
-    decay(state, registry, cid, np.random.default_rng(1))
+    decay(state, cid, np.random.default_rng(1))
     pa, _ = reconstruct_wavefunction(state, "a")
     pb, _ = reconstruct_wavefunction(state, "b")
     assert np.argmax(np.abs(pa)) == 3 and np.argmax(np.abs(pb)) == 7
 
     state = two_particle_state(spec, (1,), (5,))
-    cid = glue(state, registry, "a", "b", com_internal((1,), (5,)),
+    cid = glue(state, "a", "b", com_internal((1,), (5,)),
                np.random.default_rng(0))
-    state.internal[cid] = com_internal((0,), (12,))  # offsets -6 and +6 from cell 3
+    # offsets -6 and +6 from cell 3
+    state.internal[cid] = replace(state.internal[cid], internal=com_internal((0,), (12,)))
     with pytest.raises(DomainError, match="off the lattice"):
-        decay(state, registry, cid, np.random.default_rng(1))
+        decay(state, cid, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting", "absorbing"])
+def test_shift_is_one_inflow_per_axis(boundary, monkeypatch):
+    """A translation makes one boundary-rule shift per non-zero axis and
+    equals np.roll wherever it succeeds; off a periodic lattice it fails
+    exactly when support above 1e-12 would leave, whole axis included."""
+    import qswarm.composite as composite
+
+    calls = []
+    inflow = composite._add_inflow
+    monkeypatch.setattr(composite, "_add_inflow",
+                        lambda *a: calls.append(a[2:4]) or inflow(*a))
+    spec = LatticeSpec((6, 5, 4), boundary=boundary)
+    psi = np.zeros(spec.dims, dtype=complex)
+    psi[2:4, 1:3, 1] = 1.0 + 0.5j
+    psi[0, 0, 0] = 1e-13  # below the threshold: may be dropped
+    out = composite._shift(psi, (2, 0, -1), spec)
+    assert calls == [(0, 2), (2, -1)]
+    inside = np.where(np.abs(psi) > 1e-12, psi, 0)
+    expect = np.roll(psi if boundary == "periodic" else inside, (2, -1), axis=(0, 2))
+    assert np.array_equal(out, expect)
+    for off in ((3, 0, 0), (0, -2, 0), (0, 0, 4), (-6, 0, 0)):
+        if boundary == "periodic":
+            assert np.array_equal(composite._shift(psi, off, spec),
+                                  np.roll(psi, off, axis=(0, 1, 2)))
+        else:
+            with pytest.raises(DomainError, match="off the lattice"):
+                composite._shift(psi, off, spec)
+    if boundary != "periodic":
+        assert not composite._shift(np.zeros(spec.dims), (0, 0, 9), spec).any()
 
 
 def test_decay_requires_composite():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (5,))
     with pytest.raises(DomainError):
-        decay(state, {}, "a", np.random.default_rng(0))
+        decay(state, "a", np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +254,15 @@ def bell_composite(seed=0):
     sb = sample_from_wavefunction(psi, spec, 10000, rng, pid="b",
                                   deterministic=True)
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
-    registry = {}
-    cid = glue(state, registry, "a", "b", BELL, rng)
-    return state, registry, cid
+    cid = glue(state, "a", "b", BELL, rng)
+    return state, cid
 
 
 def test_measure_correlated_bell():
-    state, registry, cid = bell_composite()
+    state, cid = bell_composite()
     q = AmplitudeQuantum(0.05)
     outcomes = [
-        measure_correlated(state.copy(), registry, cid, q,
+        measure_correlated(state.copy(), cid, q,
                            np.random.default_rng([1, k]))
         for k in range(10**4)
     ]
@@ -228,12 +275,11 @@ def test_measure_correlated_bell():
 def test_measure_correlated_always_00():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (2,))
-    registry = {}
     internal = InternalState((Branch(1.0 + 0j, (0, 0)),))
-    cid = glue(state, registry, "a", "b", internal, np.random.default_rng(0))
+    cid = glue(state, "a", "b", internal, np.random.default_rng(0))
     q = AmplitudeQuantum(0.05)
     assert all(
-        measure_correlated(state.copy(), registry, cid, q, np.random.default_rng(k))
+        measure_correlated(state.copy(), cid, q, np.random.default_rng(k))
         == (0, 0)
         for k in range(50)
     )
@@ -242,15 +288,14 @@ def test_measure_correlated_always_00():
 def test_measure_correlated_anticorrelated():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (3,), (3,))
-    registry = {}
     internal = InternalState((
         Branch(1 / np.sqrt(2), (0, 1)),
         Branch(1 / np.sqrt(2), (1, 0)),
     ))
-    cid = glue(state, registry, "a", "b", internal, np.random.default_rng(0))
+    cid = glue(state, "a", "b", internal, np.random.default_rng(0))
     q = AmplitudeQuantum(0.05)
     for k in range(200):
-        a, b = measure_correlated(state.copy(), registry, cid, q,
+        a, b = measure_correlated(state.copy(), cid, q,
                                   np.random.default_rng(k))
         assert a != b
 
@@ -259,7 +304,7 @@ def test_measure_correlated_rejects_elementary():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (5,))
     with pytest.raises(DomainError):
-        measure_correlated(state, {}, "a", AmplitudeQuantum(0.1),
+        measure_correlated(state, "a", AmplitudeQuantum(0.1),
                            np.random.default_rng(0))
 
 
@@ -376,17 +421,6 @@ def test_size_limit():
     with pytest.raises(DomainError):
         symmetrized_amplitude(np.eye(9), "fermion")
 
-
-def test_fock_state_validation():
-    with pytest.raises(DomainError):
-        FockState((2, 0), "fermion")
-    with pytest.raises(DomainError):
-        FockState((1, 0), "parafermion")
-    assert FockState((1, 0, 1), "fermion").n_particles == 2
-
-
-# ---------------------------------------------------------------------------
-# disjoint fermion swarms
 
 def test_fermion_union_density_matches_brute_force():
     spec = LatticeSpec((8,))

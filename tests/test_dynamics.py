@@ -155,28 +155,33 @@ def test_stochastic_empty_swarm():
 
 
 def test_stochastic_single_sample_conversion():
-    """One type-1 sample with a forced emission: after two steps exactly one
-    type-2 sample sits at the same cell (the converted photon; its paired
-    compensation sample is of type 4)."""
+    """One type-1 sample at the calibrated rate 2 (1D, dt = dt_phot = 1,
+    p_phot = 1) emits exactly two photons; after two steps they sit as two
+    type-2 samples on the neighboring cells, and their two paired
+    compensation samples of type 4 on the source cell."""
     spec = LatticeSpec((8,))
     counts = np.zeros((4, 8))
     counts[0, 3] = 1.0
     s = state_from_counts(counts, spec)
-    p = StepParams(dt=1.0, p_phot=0.0, r_emit=1.0, dt_phot=1.0)
+    p = StepParams(dt=1.0, p_phot=1.0, dt_phot=1.0)
+    assert calibrated_emission_rate(spec, p) == 2.0
     rng = np.random.default_rng(0)
     V = PotentialField.zero(spec)
     s = step_stochastic(s, V, p, rng, normalize=False)
     s = step_stochastic(s, V, p, rng, normalize=False)
     f = s.fields["p0"]
-    assert f[1].sum() == 1.0 and f[1, 3] == 1.0
+    assert f[0].sum() == 1.0 and f[0, 3] == 1.0
+    assert f[1].sum() == 2.0 and f[1, 2] + f[1, 4] == 2.0
+    assert f[3].sum() == 2.0 and f[3, 3] == 2.0
+    assert f[2].sum() == 0.0
 
 
 def test_stochastic_potential_events():
-    """With emission off, V > 0 spawns the predecessor type, V < 0 its
-    negation."""
+    """V > 0 spawns the predecessor type, V < 0 its negation.  The photons
+    emitted in the same step convert only in the next one."""
     spec = LatticeSpec((4,))
     V = PotentialField(FieldGrid(spec, np.array([1.0, 0, -1.0, 0])))
-    p = StepParams(dt=1.0, r_emit=0.0)
+    p = StepParams(dt=1.0)
     counts = np.zeros((4, 4))
     counts[0, 0] = 1.0  # type 1 where V=+1
     counts[0, 2] = 1.0  # type 1 where V=-1
@@ -185,6 +190,7 @@ def test_stochastic_potential_events():
     f = out.fields["p0"]
     assert f[3, 0] == 1.0  # type 4 spawned (predecessor of type 1)
     assert f[1, 2] == 1.0  # negated predecessor = type 2
+    assert f.sum() == 4.0  # nothing else landed in the fields
 
 
 def test_stochastic_locality():
@@ -204,10 +210,11 @@ def test_stochastic_locality():
 def test_stochastic_conversion_shifts_type():
     """Photon cohorts convert to the cyclic successor type: each quarter
     cycle multiplies the encoded amplitude contribution by i (the paired
-    compensation sample lands on type j-1, not on j+1)."""
+    compensation samples land on type j-1 at the source cell, not on j+1).
+    At the calibrated rate 2 one sample emits exactly two photons."""
     spec = LatticeSpec((4,))
     V = PotentialField.zero(spec)
-    p = StepParams(dt=1.0, p_phot=0.0, r_emit=1.0, dt_phot=1.0)
+    p = StepParams(dt=1.0, p_phot=1.0, dt_phot=1.0)
     for j in range(4):
         counts = np.zeros((4, 4))
         counts[j, 1] = 1.0
@@ -215,7 +222,11 @@ def test_stochastic_conversion_shifts_type():
         rng = np.random.default_rng(0)
         s = step_stochastic(s, V, p, rng, normalize=False)
         s = step_stochastic(s, V, p, rng, normalize=False)
-        assert s.fields["p0"][(j + 1) % 4, 1] >= 1.0
+        f = s.fields["p0"]
+        nxt, prev = (j + 1) % 4, (j - 1) % 4
+        assert f[nxt].sum() == 2.0 and f[nxt, 0] + f[nxt, 2] == 2.0
+        assert f[prev].sum() == 2.0 and f[prev, 1] == 2.0
+        assert f[j].sum() == 1.0 and f[j, 1] == 1.0
 
 
 def test_stochastic_population_cap():
@@ -223,7 +234,7 @@ def test_stochastic_population_cap():
     counts = np.zeros((4, 8))
     counts[0] = 100.0
     s = state_from_counts(counts, spec)
-    p = StepParams(dt=0.5, r_emit=2.0, max_population=100.0)
+    p = StepParams(dt=0.5, max_population=100.0)  # calibrated rate 2
     with pytest.raises(MemoryBudgetError):
         step_stochastic(s, PotentialField.zero(spec), p, np.random.default_rng(0))
 
