@@ -3,8 +3,9 @@
 Two particles glue into a single new particle whose samples all carry the
 same internal (relative-coordinate) state; a composite decays back by
 splitting every sample at once (swarm stability principle: a swarm is
-never partially split).  The state holds each composite's record
-(:class:`Composite`).  Hierarchical states generalize this nesting;
+never partially split).  Both directions move the existing samples by the
+branch offsets and never draw new ones.  The state holds each composite's
+record (:class:`Composite`).  Hierarchical states generalize this nesting;
 identical-particle sectors use determinant/permanent coefficients with a
 small-n brute-force evaluator.
 """
@@ -24,7 +25,7 @@ from .errors import (
     SwarmStabilityError,
 )
 from .lattice import Boundary, LatticeSpec, _add_inflow
-from .measure import AmplitudeQuantum, DiscreteState, born_measure, measure_swarm
+from .measure import AmplitudeQuantum, DiscreteState, born_measure
 from .swarm import SwarmState, reconstruct_wavefunction, sample_from_wavefunction
 
 
@@ -90,13 +91,15 @@ def _composite(state: SwarmState, cid: str) -> Composite:
     return rec
 
 
-def _shift(psi: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
-    """Translate a field by an integer offset; off a periodic lattice, support
-    that would leave the lattice is an error."""
+def _shift(f: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
+    """A translated copy of a field by an integer offset along its trailing
+    (lattice) axes; off a periodic lattice, support that would leave the
+    lattice is an error."""
     off = tuple(int(o) for o in offset)
     periodic = spec.boundary is Boundary.PERIODIC
-    out = psi
-    for axis, o in enumerate(off):
+    lead = f.ndim - spec.ndim
+    out = f
+    for axis, o in enumerate(off, start=lead):
         if o == 0:
             continue
         if not periodic:
@@ -108,21 +111,13 @@ def _shift(psi: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
         moved = np.zeros(out.shape, out.dtype)
         _add_inflow(moved, out, axis, o, spec.boundary if periodic else Boundary.ABSORBING)
         out = moved
-    return out
+    return out.copy() if out is f else out
 
 
 def _branch_offsets(branch: Branch, nconst: int, ndim: int):
     if branch.offsets is None:
         return tuple((0,) * ndim for _ in range(nconst))
     return branch.offsets
-
-
-def _draw_branch(internal: InternalState, q: AmplitudeQuantum, rng) -> Branch:
-    """Born draw of one branch over the branch weights."""
-    idx = born_measure(
-        DiscreteState(list(range(len(internal.branches))), internal.amplitudes()), q, rng
-    )
-    return internal.branches[idx]
 
 
 def com_internal(xa, xb, labels=(0, 1)) -> InternalState:
@@ -141,7 +136,7 @@ def glue(
     a: str,
     b: str,
     internal: InternalState,
-    rng,
+    *,
     cid: str | None = None,
 ) -> str:
     """Fuse particles a and b into one composite swarm.
@@ -149,9 +144,10 @@ def glue(
     The composite position amplitude is inferred from the constituents by
     undoing the branch offsets; every branch and both constituents must
     yield the same position amplitude, otherwise the requested internal
-    state would depend on the composite position and gluing fails.  All
-    samples of the new swarm carry the same internal state (swarm
-    stability principle).  The state stores the composite's
+    state would depend on the composite position and gluing fails.  The
+    composite's samples are a's own, translated by branch 0's -offset, at
+    a's scale: nothing is drawn, and every sample carries the same internal
+    state (swarm stability principle).  The state stores the composite's
     :class:`Composite` record under its id, keeping the records of a and b.
     """
     spec = state.spec
@@ -171,15 +167,15 @@ def glue(
                 "constituent states are inconsistent with a position-independent "
                 "internal state"
             )
-    psi_c = ref / np.linalg.norm(ref)
 
-    K = max(1, int(round((state.fields[a].sum() + state.fields[b].sum()) / 2)))
+    oa, _ = _branch_offsets(internal.branches[0], 2, spec.ndim)
+    counts = _shift(state.fields[a], tuple(-o for o in oa), spec)
+    scale = state.scale[a]
     cid = cid or f"({a}+{b})"
-    new = sample_from_wavefunction(psi_c, spec, K, rng, pid=cid)
     record = Composite((a, b), internal, (state.internal.get(a), state.internal.get(b)))
     state.remove_particle(a)
     state.remove_particle(b)
-    state.add_particle(cid, new.fields[cid], new.scale[cid])
+    state.add_particle(cid, counts, scale)
     state.internal[cid] = record
     return cid
 
@@ -188,51 +184,37 @@ def decay(state: SwarmState, cid: str, rng) -> tuple[str, str]:
     """Split a composite back into its two constituents.
 
     Every sample divides at once (a swarm is never partially split).  A
-    multi-branch internal state first collapses to one branch by a Born
-    draw over the branch weights.  Each constituent gets its own record
-    back, so a constituent that is itself a composite can decay in turn.
+    multi-branch internal state first collapses to one branch, drawn with
+    probability |amplitude|^2.  Each constituent gets the composite's
+    samples translated by its offset in that branch, at the composite's
+    scale, and its own record back, so a constituent that is itself a
+    composite can decay in turn.  A translation that fails leaves the
+    state untouched.
     """
     rec = _composite(state, cid)
-    spec = state.spec
-    a, b = rec.constituents
-
-    population = state.fields[cid].sum()
-    if population == 0:
-        state.remove_particle(cid)
-        state.add_particle(a, np.zeros((4, *spec.dims)), 1.0)
-        state.add_particle(b, np.zeros((4, *spec.dims)), 1.0)
-    else:
-        psi_c, _ = reconstruct_wavefunction(state, cid)
-        branches = rec.internal.branches
-        if len(branches) > 1:
-            q = AmplitudeQuantum(1.0 / math.sqrt(4 * len(branches)))
-            branch = _draw_branch(rec.internal, q, rng)
-        else:
-            branch = branches[0]
-
-        oa, ob = _branch_offsets(branch, 2, spec.ndim)
-        K = max(1, int(round(population)))
-        for pid, off in ((a, oa), (b, ob)):
-            psi = _shift(psi_c, off, spec)
-            part = sample_from_wavefunction(psi, spec, K, rng, pid=pid)
-            state.add_particle(pid, part.fields[pid], part.scale[pid])
-        state.remove_particle(cid)
-    for pid, part in zip(rec.constituents, rec.parts):
+    weights = np.abs(rec.internal.amplitudes()) ** 2
+    branch = rec.internal.branches[rng.choice(weights.size, p=weights / weights.sum())]
+    offsets = _branch_offsets(branch, 2, state.spec.ndim)
+    moved = [_shift(state.fields[cid], off, state.spec) for off in offsets]
+    scale = state.scale[cid]
+    state.remove_particle(cid)
+    for pid, counts, part in zip(rec.constituents, moved, rec.parts):
+        state.add_particle(pid, counts, scale)
         if part is not None:
             state.internal[pid] = part
-    return a, b
+    return rec.constituents
 
 
 def measure_correlated(state: SwarmState, cid: str, q: AmplitudeQuantum, rng) -> tuple:
-    """Measure the composite position, then the internal branch.
+    """Measure the composite's internal branch by a Born draw at ``q``.
 
     Returns the pair of constituent outcome labels of the drawn branch;
     for a (|00> + |11>)/sqrt(2) internal state the two labels always
-    agree while each marginal is uniform.
+    agree while each marginal is uniform.  The state is not changed.
     """
-    rec = _composite(state, cid)
-    measure_swarm(state, q, rng, pid=cid)  # position draw (outcome unused here)
-    return tuple(_draw_branch(rec.internal, q, rng).labels)
+    internal = _composite(state, cid).internal
+    urn = DiscreteState([br.labels for br in internal.branches], internal.amplitudes())
+    return tuple(born_measure(urn, q, rng))
 
 
 def assert_swarm_stability(state: SwarmState) -> None:

@@ -81,6 +81,10 @@ class StepParams:
     max_population: float | None = None
 
     def __post_init__(self):
+        for name in ("dt", "dt_phot", "A", "max_population"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if not 0.0 <= self.p_phot <= 1.0:

@@ -320,7 +320,7 @@ def test_acceptance_9_composite_entanglement():
     sb = sample_from_wavefunction(psi, spec, 10**4, rng, pid="b",
                                   deterministic=True)
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
-    cid = glue(state, "a", "b", bell, rng)
+    cid = glue(state, "a", "b", bell)
     q = AmplitudeQuantum(0.05)
     draws = 10**4
     outcomes = [
@@ -342,7 +342,7 @@ def test_acceptance_9_composite_entanglement():
     s2b = sample_from_wavefunction(sup, spec, 10**5, rng2, pid="b",
                                    deterministic=True)
     st2.add_particle("b", s2b.fields["b"], s2b.scale["b"])
-    cid2 = glue(st2, "a", "b", bell, rng2)
+    cid2 = glue(st2, "a", "b", bell)
 
     V = PotentialField.zero(spec)
     p = StepParams(dt=0.2)

@@ -67,8 +67,12 @@ def test_internal_state_validation():
 def test_glue_deltas_to_center_of_mass():
     spec = LatticeSpec((16,))
     state = two_particle_state(spec, (4,), (8,))
-    cid = glue(state, "a", "b", com_internal((4,), (8,)),
-               np.random.default_rng(0))
+    with pytest.raises(TypeError):  # glue draws nothing, so it takes no rng
+        glue(state, "a", "b", com_internal((4,), (8,)), np.random.default_rng(0))
+    fa, scale = state.fields["a"].copy(), state.scale["a"]
+    cid = glue(state, "a", "b", com_internal((4,), (8,)))
+    assert np.array_equal(state.fields[cid], np.roll(fa, 2, axis=1))  # a's samples
+    assert state.scale[cid] == scale
     psi, _ = reconstruct_wavefunction(state, cid)
     assert np.argmax(np.abs(psi)) == 6  # center of mass
     assert state.internal[cid].constituents == ("a", "b")
@@ -80,8 +84,7 @@ def test_glue_deltas_to_center_of_mass():
 def test_glue_decay_roundtrip():
     spec = LatticeSpec((16,))
     state = two_particle_state(spec, (4,), (9,), K=30000)
-    cid = glue(state, "a", "b", com_internal((4,), (9,)),
-               np.random.default_rng(1))
+    cid = glue(state, "a", "b", com_internal((4,), (9,)))
     decay(state, cid, np.random.default_rng(2))
     pa, _ = reconstruct_wavefunction(state, "a")
     pb, _ = reconstruct_wavefunction(state, "b")
@@ -107,7 +110,7 @@ def test_glue_decay_roundtrip_spread_states():
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
     # b is a translated by +3, so fix offsets (0, +3) from the composite
     internal = InternalState((Branch(1.0 + 0j, (0, 1), ((0,), (3,))),))
-    cid = glue(state, "a", "b", internal, rng)
+    cid = glue(state, "a", "b", internal)
     decay(state, cid, rng)
     ra, _ = reconstruct_wavefunction(state, "a")
     rb, _ = reconstruct_wavefunction(state, "b")
@@ -126,8 +129,8 @@ def test_nested_glue_decay_roundtrip():
     for pid, cell in cells.items():
         s = sample_from_wavefunction(delta(spec, cell), spec, 4000, rng, pid=pid)
         state.add_particle(pid, s.fields[pid], s.scale[pid])
-    ab = glue(state, "a", "b", com_internal((3,), (6,)), rng)  # at cell 4
-    abd = glue(state, ab, "d", com_internal((4,), (11,)), rng)
+    ab = glue(state, "a", "b", com_internal((3,), (6,)))  # at cell 4
+    abd = glue(state, ab, "d", com_internal((4,), (11,)))
     assert ab not in state.internal  # its record travels inside the outer one
     assert state.internal[abd].parts == (
         Composite(("a", "b"), com_internal((3,), (6,)), (None, None)), None)
@@ -141,6 +144,37 @@ def test_nested_glue_decay_roundtrip():
         assert np.array_equal(np.abs(psi) ** 2, np.abs(delta(spec, cell)) ** 2)
     with pytest.raises(DomainError, match="not a composite"):
         decay(state, ab, rng)
+
+
+def gaussian_state(spec, centres, K=5 * 10**4):
+    x = np.arange(float(spec.dims[0]))
+    state = SwarmState(spec)
+    for pid, c in centres.items():
+        psi = np.exp(-((x - c) ** 2) / 4).astype(complex)
+        s = sample_from_wavefunction(psi / np.linalg.norm(psi), spec, K, None,
+                                     pid=pid, deterministic=True)
+        state.add_particle(pid, s.fields[pid], s.scale[pid])
+    return state
+
+
+def test_nested_spread_glue_decay_roundtrip():
+    """Composites of spread states nest: Gaussians at cells 10 and 13 glue
+    into (a+b) at cell 11, which glues with a third at cell 18.  Decaying
+    both levels gives a back bit for bit and b, d with their own states."""
+    spec = LatticeSpec((32,))
+    centres = {"a": 10, "b": 13, "d": 18}
+    state = gaussian_state(spec, centres)
+    psis = {pid: reconstruct_wavefunction(state, pid)[0] for pid in centres}
+    fa, scale = state.fields["a"].copy(), state.scale["a"]
+    ab = glue(state, "a", "b", com_internal((10,), (13,)))
+    abd = glue(state, ab, "d", com_internal((11,), (18,)))
+    assert np.array_equal(state.fields[abd], np.roll(fa, 4, axis=1))
+    rng = np.random.default_rng(0)
+    decay(state, abd, rng)
+    decay(state, ab, rng)
+    assert np.array_equal(state.fields["a"], fa) and state.scale["a"] == scale
+    for pid, psi in psis.items():
+        assert np.allclose(reconstruct_wavefunction(state, pid)[0], psi, rtol=0, atol=1e-12)
 
 
 def test_glue_interference_condition():
@@ -157,14 +191,13 @@ def test_glue_interference_condition():
     sb = sample_from_wavefunction(psi_b, spec, 10000, rng, pid="b")
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
     with pytest.raises(InterferenceConditionError):
-        glue(state, "a", "b", com_internal((4,), (9,)), rng)
+        glue(state, "a", "b", com_internal((4,), (9,)))
 
 
 def test_decay_empty_composite():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (5,))
-    cid = glue(state, "a", "b", com_internal((2,), (5,)),
-               np.random.default_rng(0))
+    cid = glue(state, "a", "b", com_internal((2,), (5,)))
     state.fields[cid][:] = 0.0
     a, b = decay(state, cid, np.random.default_rng(0))
     assert state.fields[a].sum() == 0 and state.fields[b].sum() == 0
@@ -173,8 +206,7 @@ def test_decay_empty_composite():
 def test_decay_delta_internal_offsets():
     spec = LatticeSpec((16,))
     state = two_particle_state(spec, (5,), (9,))
-    cid = glue(state, "a", "b", com_internal((5,), (9,)),
-               np.random.default_rng(0))
+    cid = glue(state, "a", "b", com_internal((5,), (9,)))
     decay(state, cid, np.random.default_rng(1))
     pa, _ = reconstruct_wavefunction(state, "a")
     pb, _ = reconstruct_wavefunction(state, "b")
@@ -187,20 +219,62 @@ def test_decay_on_reflecting_lattice():
     one that does succeeds, one whose offset pushes support off fails."""
     spec = LatticeSpec((12,), boundary="reflecting")
     state = two_particle_state(spec, (3,), (7,))
-    cid = glue(state, "a", "b", com_internal((3,), (7,)),
-               np.random.default_rng(0))
+    cid = glue(state, "a", "b", com_internal((3,), (7,)))
     decay(state, cid, np.random.default_rng(1))
     pa, _ = reconstruct_wavefunction(state, "a")
     pb, _ = reconstruct_wavefunction(state, "b")
     assert np.argmax(np.abs(pa)) == 3 and np.argmax(np.abs(pb)) == 7
 
     state = two_particle_state(spec, (1,), (5,))
-    cid = glue(state, "a", "b", com_internal((1,), (5,)),
-               np.random.default_rng(0))
+    cid = glue(state, "a", "b", com_internal((1,), (5,)))
     # offsets -6 and +6 from cell 3
     state.internal[cid] = replace(state.internal[cid], internal=com_internal((0,), (12,)))
     with pytest.raises(DomainError, match="off the lattice"):
         decay(state, cid, np.random.default_rng(1))
+
+
+def test_failed_decay_leaves_state_untouched():
+    """Both translations are made before the state changes: a decay whose
+    b offset leaves a reflecting lattice raises and keeps the composite."""
+    spec = LatticeSpec((12,), boundary="reflecting")
+    state = two_particle_state(spec, (1,), (5,))
+    cid = glue(state, "a", "b", com_internal((1,), (5,)))  # at cell 3
+    off_lattice = InternalState((Branch(1.0 + 0j, (0, 1), ((0,), (10,))),))
+    state.internal[cid] = replace(state.internal[cid], internal=off_lattice)
+    fields = {pid: f.copy() for pid, f in state.fields.items()}
+    scale, records = dict(state.scale), dict(state.internal)
+    with pytest.raises(DomainError, match="off the lattice"):
+        decay(state, cid, np.random.default_rng(1))
+    assert state.particles() == [cid]
+    assert np.array_equal(state.fields[cid], fields[cid])
+    assert state.scale == scale and state.internal == records
+
+
+def test_decay_draws_the_branch_law():
+    """Branch amplitudes sqrt(0.3), sqrt(0.7) with b's offset 0 and 2: on a
+    plane wave with k = 2 pi/8, b's phase relative to a (1 or -i) names
+    the drawn branch, whose frequency must follow |amplitude|^2."""
+    spec = LatticeSpec((8,))
+    wave = np.exp(2j * np.pi / 8 * np.arange(8)) / np.sqrt(8)
+    state = SwarmState(spec)
+    for pid in ("a", "b"):
+        s = sample_from_wavefunction(wave, spec, 10**4, None, pid=pid,
+                                     deterministic=True)
+        state.add_particle(pid, s.fields[pid], s.scale[pid])
+    internal = InternalState((
+        Branch(np.sqrt(0.3), (0, 0), ((0,), (0,))),
+        Branch(np.sqrt(0.7), (0, 1), ((0,), (2,))),
+    ))
+    cid = glue(state, "a", "b", internal)
+    draws, first = 4000, 0
+    for k in range(draws):
+        s = state.copy()
+        decay(s, cid, np.random.default_rng([2, k]))
+        phase = np.vdot(reconstruct_wavefunction(s, "a")[0],
+                        reconstruct_wavefunction(s, "b")[0])
+        assert abs(phase - 1) < 1e-9 or abs(phase + 1j) < 1e-9
+        first += abs(phase - 1) < 1e-9
+    assert abs(first / draws - 0.3) <= 3 * np.sqrt(0.3 * 0.7 / draws)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "reflecting", "absorbing"])
@@ -232,6 +306,15 @@ def test_shift_is_one_inflow_per_axis(boundary, monkeypatch):
                 composite._shift(psi, off, spec)
     if boundary != "periodic":
         assert not composite._shift(np.zeros(spec.dims), (0, 0, 9), spec).any()
+    # a (4, *dims) count field moves along its trailing lattice axes
+    counts = np.stack([psi.real, psi.imag, np.abs(psi), np.zeros(spec.dims)])
+    calls.clear()
+    out = composite._shift(counts, (2, 0, -1), spec)
+    assert calls == [(1, 2), (3, -1)]
+    inside = np.where(np.abs(counts) > 1e-12, counts, 0)
+    expect = np.roll(counts if boundary == "periodic" else inside, (2, -1), axis=(1, 3))
+    assert np.array_equal(out, expect)
+    assert composite._shift(counts, (0, 0, 0), spec) is not counts
 
 
 def test_decay_requires_composite():
@@ -254,7 +337,7 @@ def bell_composite(seed=0):
     sb = sample_from_wavefunction(psi, spec, 10000, rng, pid="b",
                                   deterministic=True)
     state.add_particle("b", sb.fields["b"], sb.scale["b"])
-    cid = glue(state, "a", "b", BELL, rng)
+    cid = glue(state, "a", "b", BELL)
     return state, cid
 
 
@@ -276,7 +359,7 @@ def test_measure_correlated_always_00():
     spec = LatticeSpec((8,))
     state = two_particle_state(spec, (2,), (2,))
     internal = InternalState((Branch(1.0 + 0j, (0, 0)),))
-    cid = glue(state, "a", "b", internal, np.random.default_rng(0))
+    cid = glue(state, "a", "b", internal)
     q = AmplitudeQuantum(0.05)
     assert all(
         measure_correlated(state.copy(), cid, q, np.random.default_rng(k))
@@ -292,7 +375,7 @@ def test_measure_correlated_anticorrelated():
         Branch(1 / np.sqrt(2), (0, 1)),
         Branch(1 / np.sqrt(2), (1, 0)),
     ))
-    cid = glue(state, "a", "b", internal, np.random.default_rng(0))
+    cid = glue(state, "a", "b", internal)
     q = AmplitudeQuantum(0.05)
     for k in range(200):
         a, b = measure_correlated(state.copy(), cid, q,

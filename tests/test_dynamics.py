@@ -48,6 +48,11 @@ def test_step_params_validation():
         StepParams(dt=0.1, dt_phot=0.05)
     with pytest.raises(ConfigError):
         StepParams(dt=0.1, A=0.0)
+    for bad in ({"dt": np.inf}, {"dt": np.nan}, {"dt_phot": np.nan},
+                {"dt_phot": np.inf}, {"A": np.inf}, {"A": np.nan},
+                {"max_population": np.nan}, {"max_population": np.inf}):
+        with pytest.raises(ConfigError, match="finite"):
+            StepParams(**{"dt": 0.1, **bad})
     assert StepParams(dt=0.1).dt_phot == 0.1
     assert StepParams(dt=0.1, dt_phot=0.5).n_age == 5
 
