@@ -26,7 +26,7 @@ from .errors import (
 )
 from .lattice import Boundary, LatticeSpec, _add_inflow
 from .measure import AmplitudeQuantum, DiscreteState, born_measure
-from .swarm import SwarmState, reconstruct_wavefunction, sample_from_wavefunction
+from .swarm import PhotonCohort, SwarmState, reconstruct_wavefunction, sample_from_wavefunction
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,16 @@ def _shift(f: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
     return out.copy() if out is f else out
 
 
+def _moved(state: SwarmState, pid: str, offset) -> tuple:
+    """A particle's count field and in-flight photon cohorts, translated."""
+    spec = state.spec
+    cohorts = [
+        PhotonCohort(_shift(c.counts, offset, spec), _shift(c.pending, offset, spec), c.age)
+        for c in state.photons.get(pid, [])
+    ]
+    return _shift(state.fields[pid], offset, spec), cohorts
+
+
 def _branch_offsets(branch: Branch, nconst: int, ndim: int):
     if branch.offsets is None:
         return tuple((0,) * ndim for _ in range(nconst))
@@ -146,11 +156,22 @@ def glue(
     yield the same position amplitude, otherwise the requested internal
     state would depend on the composite position and gluing fails.  The
     composite's samples are a's own, translated by branch 0's -offset, at
-    a's scale: nothing is drawn, and every sample carries the same internal
-    state (swarm stability principle).  The state stores the composite's
-    :class:`Composite` record under its id, keeping the records of a and b.
+    a's scale, and so are a's in-flight photon cohorts: nothing is drawn,
+    and every sample carries the same internal state (swarm stability
+    principle).  The state stores the composite's :class:`Composite`
+    record under its id, keeping the records of a and b.  A ``cid`` that
+    names a particle other than a or b is an error.  Off a periodic
+    lattice the translated photons must stay on it as the field must: a
+    photon can be up to ``n_age`` hops beyond the field, so a glue whose
+    field fits can still raise :class:`DomainError`, leaving the state
+    untouched.
     """
     spec = state.spec
+    cid = cid or f"({a}+{b})"
+    if a == b:
+        raise DomainError(f"cannot glue {a!r} to itself")
+    if cid not in (a, b) and cid in state.fields:
+        raise DomainError(f"composite id {cid!r} names an existing particle")
     psi_a, _ = reconstruct_wavefunction(state, a)
     psi_b, _ = reconstruct_wavefunction(state, b)
 
@@ -169,13 +190,13 @@ def glue(
             )
 
     oa, _ = _branch_offsets(internal.branches[0], 2, spec.ndim)
-    counts = _shift(state.fields[a], tuple(-o for o in oa), spec)
+    counts, cohorts = _moved(state, a, tuple(-o for o in oa))
     scale = state.scale[a]
-    cid = cid or f"({a}+{b})"
     record = Composite((a, b), internal, (state.internal.get(a), state.internal.get(b)))
     state.remove_particle(a)
     state.remove_particle(b)
     state.add_particle(cid, counts, scale)
+    state.photons[cid] = cohorts
     state.internal[cid] = record
     return cid
 
@@ -186,20 +207,24 @@ def decay(state: SwarmState, cid: str, rng) -> tuple[str, str]:
     Every sample divides at once (a swarm is never partially split).  A
     multi-branch internal state first collapses to one branch, drawn with
     probability |amplitude|^2.  Each constituent gets the composite's
-    samples translated by its offset in that branch, at the composite's
-    scale, and its own record back, so a constituent that is itself a
-    composite can decay in turn.  A translation that fails leaves the
-    state untouched.
+    samples and photon cohorts translated by its offset in that branch, at
+    the composite's scale, and its own record back, so a constituent that
+    is itself a composite can decay in turn.  A constituent id already in
+    use, or a translation that fails, leaves the state untouched.
     """
     rec = _composite(state, cid)
+    taken = [pid for pid in rec.constituents if pid != cid and pid in state.fields]
+    if taken:
+        raise DomainError(f"constituent ids {taken} name existing particles")
     weights = np.abs(rec.internal.amplitudes()) ** 2
     branch = rec.internal.branches[rng.choice(weights.size, p=weights / weights.sum())]
     offsets = _branch_offsets(branch, 2, state.spec.ndim)
-    moved = [_shift(state.fields[cid], off, state.spec) for off in offsets]
+    moved = [_moved(state, cid, off) for off in offsets]
     scale = state.scale[cid]
     state.remove_particle(cid)
-    for pid, counts, part in zip(rec.constituents, moved, rec.parts):
+    for pid, (counts, cohorts), part in zip(rec.constituents, moved, rec.parts):
         state.add_particle(pid, counts, scale)
+        state.photons[pid] = cohorts
         if part is not None:
             state.internal[pid] = part
     return rec.constituents

@@ -40,6 +40,12 @@ from .swarm import PhotonCohort, SwarmState, _split, _stochastic_round, cancel_p
 _PREV = np.array([3, 0, 1, 2])
 _NEXT = np.array([1, 2, 3, 0])
 
+# Most (type, cell) counts hopped by one multinomial call.  Stacking saves
+# the per-call cost of small cohorts; past about 2**14 counts the larger
+# draw array (2d+1 int64 per count) costs more than that saves (measured
+# on 1D to 3D Gaussians).
+_STACK_CELLS = 2**14
+
 
 @dataclass
 class PotentialField:
@@ -201,6 +207,11 @@ def step_stochastic(
     every particle sample emits a fresh photon cohort; the potential
     spawns samples per cell; finally pairs are cancelled and the
     population is resampled to the memory budget (``normalize``).
+
+    A particle's cohorts hop in stacked transport draws, consecutive
+    cohorts of at most ``_STACK_CELLS`` (type, cell) counts in each, at
+    least one cohort per draw.  The draws take cells in cohort order, so
+    the stream and every count are those of one draw per cohort.
     """
     spec = s.spec
     emit_rate = calibrated_emission_rate(spec, p)
@@ -211,16 +222,21 @@ def step_stochastic(
     for pid in out.particles():
         f = out.fields[pid]
 
-        # (b) photon transport + (c) conversion of expired cohorts
-        kept = []
-        for cohort in out.photons[pid]:
-            counts = _diffuse_counts(cohort.counts, spec, p.p_phot, rng)
-            cohort = PhotonCohort(counts, cohort.pending, cohort.age + 1)
-            if cohort.age >= p.n_age:
-                # photons of type j convert into particle samples of type j+1
-                f += cohort.counts[_PREV] + cohort.pending
-            else:
-                kept.append(cohort)
+        # (b) photon transport + (c) conversion of expired cohorts; runs of
+        # consecutive cohorts hop in one stacked draw each
+        cohorts, kept = out.photons[pid], []
+        run = max(1, _STACK_CELLS // f.size)
+        for lo in range(0, len(cohorts), run):
+            group = cohorts[lo:lo + run]
+            # a lone cohort hops as a view: no stacked copy on large lattices
+            stack = np.stack([c.counts for c in group]) if len(group) > 1 else group[0].counts[None]
+            moved = _diffuse_counts(stack, spec, p.p_phot, rng)
+            for cohort, counts in zip(group, moved):
+                if cohort.age + 1 >= p.n_age:
+                    # photons of type j convert into particle samples of type j+1
+                    f += counts[_PREV] + cohort.pending
+                else:
+                    kept.append(PhotonCohort(counts, cohort.pending, cohort.age + 1))
 
         # (a) emission of a fresh cohort
         lam = f * (emit_rate * p.dt)

@@ -14,6 +14,8 @@ from qswarm import (
     InternalState,
     InterferenceConditionError,
     LatticeSpec,
+    PotentialField,
+    StepParams,
     SwarmStabilityError,
     SwarmState,
     assert_swarm_stability,
@@ -27,6 +29,7 @@ from qswarm import (
     place_fermion_swarms,
     reconstruct_wavefunction,
     sample_from_wavefunction,
+    step_stochastic,
     symmetrized_amplitude,
     union_density,
 )
@@ -322,6 +325,93 @@ def test_decay_requires_composite():
     state = two_particle_state(spec, (2,), (5,))
     with pytest.raises(DomainError):
         decay(state, "a", np.random.default_rng(0))
+
+
+def test_glue_decay_keep_in_flight_photons():
+    """Photon cohorts launched by a step move with the samples: the
+    composite holds a's cohorts, translated like a's field, and decay gives
+    each constituent the composite's cohorts at its own offset."""
+    spec = LatticeSpec((16,))
+    state = two_particle_state(spec, (4,), (9,), K=1000)
+    state = step_stochastic(state, PotentialField.zero(spec), StepParams(dt=0.1, dt_phot=0.3),
+                            np.random.default_rng(1), normalize=False)
+    cohorts = state.photons["a"]
+    assert cohorts and all(c.population() > 0 for c in cohorts)
+    pop_a = state.population("a")
+    assert pop_a > state.fields["a"].sum()
+    cid = glue(state, "a", "b", com_internal((4,), (9,)))  # a sits at offset -2
+    assert state.population(cid) == pop_a
+    for c, c0 in zip(state.photons[cid], cohorts, strict=True):
+        assert np.array_equal(c.counts, np.roll(c0.counts, 2, axis=1))
+        assert np.array_equal(c.pending, np.roll(c0.pending, 2, axis=1))
+        assert c.age == c0.age
+    decay(state, cid, np.random.default_rng(2))
+    assert state.population("a") == state.population("b") == pop_a
+    for pid, shift in (("a", 0), ("b", 5)):
+        for c, c0 in zip(state.photons[pid], cohorts, strict=True):
+            assert np.array_equal(c.counts, np.roll(c0.counts, shift, axis=1))
+            assert np.array_equal(c.pending, np.roll(c0.pending, shift, axis=1))
+
+
+def snapshot(state):
+    return ({k: v.copy() for k, v in state.fields.items()}, dict(state.scale),
+            dict(state.internal), {k: list(v) for k, v in state.photons.items()})
+
+
+def assert_unchanged(state, before):
+    fields, scale, internal, photons = before
+    assert state.fields.keys() == fields.keys()
+    assert all(np.array_equal(state.fields[k], fields[k]) for k in fields)
+    assert state.scale == scale and state.internal == internal
+    assert state.photons == photons
+
+
+def test_glue_of_photons_off_a_reflecting_lattice_fails():
+    """a's field fits after the translation but a photon one hop beyond it
+    does not: glue raises and the state is left as it was."""
+    spec = LatticeSpec((7,), boundary="reflecting")
+    state = two_particle_state(spec, (1,), (6,), K=1000)
+    V, p = PotentialField.zero(spec), StepParams(dt=0.1, dt_phot=0.3)
+    for seed in (1, 2):  # one hop, no cohort converts yet
+        state = step_stochastic(state, V, p, np.random.default_rng(seed), normalize=False)
+    assert np.flatnonzero(state.fields["a"].sum(axis=0)).tolist() == [1]
+    assert sum(c.counts[:, 2].sum() for c in state.photons["a"]) > 0
+    composite_at_b = InternalState((Branch(1.0 + 0j, (0, 1), ((-5,), (0,))),))
+    before = snapshot(state)
+    with pytest.raises(DomainError, match="off the lattice"):
+        glue(state, "a", "b", composite_at_b)  # moves a's cell 2 to cell 7
+    assert_unchanged(state, before)
+
+
+def test_glue_rejects_an_id_in_use():
+    """A composite id naming a third particle, or a particle glued to
+    itself, is an error and the state is left as it was."""
+    spec = LatticeSpec((16,))
+    state = two_particle_state(spec, (4,), (8,))
+    other = sample_from_wavefunction(delta(spec, 12), spec, 100, np.random.default_rng(1), pid="x")
+    state.add_particle("x", other.fields["x"], other.scale["x"])
+    before = snapshot(state)
+    with pytest.raises(DomainError, match="existing particle"):
+        glue(state, "a", "b", com_internal((4,), (8,)), cid="x")
+    with pytest.raises(DomainError, match="itself"):
+        glue(state, "a", "a", com_internal((4,), (4,)))
+    assert_unchanged(state, before)
+    assert glue(state, "a", "b", com_internal((4,), (8,)), cid="a") == "a"
+    assert state.particles() == ["x", "a"]
+
+
+def test_decay_rejects_an_id_in_use():
+    """Decay into a constituent id another particle has taken since the
+    glue is an error and the state is left as it was."""
+    spec = LatticeSpec((16,))
+    state = two_particle_state(spec, (4,), (8,))
+    cid = glue(state, "a", "b", com_internal((4,), (8,)))
+    other = sample_from_wavefunction(delta(spec, 12), spec, 100, np.random.default_rng(1), pid="b")
+    state.add_particle("b", other.fields["b"], other.scale["b"])
+    before = snapshot(state)
+    with pytest.raises(DomainError, match="existing particles"):
+        decay(state, cid, np.random.default_rng(0))
+    assert_unchanged(state, before)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ from qswarm import (
     step_meanfield,
     step_stochastic,
 )
-from qswarm.dynamics import _diffuse_counts, meanfield_update
+from qswarm import dynamics
+from qswarm.dynamics import _NEXT, _PREV, _diffuse_counts, meanfield_update
+from qswarm.swarm import PhotonCohort, _stochastic_round
 
 
 def state_from_counts(counts, spec, scale=1.0):
@@ -310,6 +312,85 @@ def test_diffuse_counts_stack_matches_per_type_calls(dims, boundary):
     per_type = np.stack([_diffuse_counts(counts[j], spec, 0.7, rng_types) for j in range(4)])
     assert np.array_equal(stacked, per_type)
     assert rng_stack.random() == rng_types.random()
+    # a (3, 4, *dims) stack of cohorts moves as three per-cohort calls
+    cohorts = np.random.default_rng(6).integers(0, 6, size=(3, 4, *dims)).astype(float)
+    cohorts[1] = 0.0
+    stacked = _diffuse_counts(cohorts, spec, 0.7, rng_stack)
+    per_cohort = np.stack([_diffuse_counts(c, spec, 0.7, rng_types) for c in cohorts])
+    assert np.array_equal(stacked, per_cohort)
+    assert rng_stack.random() == rng_types.random()
+
+
+def per_cohort_step(s, V, p, rng):
+    """step_stochastic with one transport draw per photon cohort."""
+    spec = s.spec
+    emit_rate = calibrated_emission_rate(spec, p)
+    out = s.copy()
+    out.time += p.dt
+    v = V.grid.values
+    for pid in out.particles():
+        f = out.fields[pid]
+        kept = []
+        for c in out.photons[pid]:
+            counts = _diffuse_counts(c.counts, spec, p.p_phot, rng)
+            if c.age + 1 >= p.n_age:
+                f += counts[_PREV] + c.pending
+            else:
+                kept.append(PhotonCohort(counts, c.pending, c.age + 1))
+        emitted = _stochastic_round(f * (emit_rate * p.dt), rng)
+        if emitted.any():
+            kept.append(PhotonCohort(emitted, emitted[_NEXT], 0))
+        out.photons[pid] = kept
+        if v.any():
+            spawn = _stochastic_round(f * (np.abs(v) * p.dt), rng)
+            f += np.where(v > 0, spawn[_NEXT], spawn[_PREV])
+    return cancel_pairs(out) if p.A is None else resample(out, p.A, rng)
+
+
+@pytest.mark.parametrize("case", ["1d-periodic", "2d-reflecting", "3d-absorbing-V", "2d-split"])
+def test_stacked_transport_matches_per_cohort_draws(case, monkeypatch):
+    """30 steps with five cohorts in flight give the fields, scales, cohorts
+    and stream of one transport draw per cohort, bit for bit; "2d-split"
+    caps a stacked draw at two cohorts, so each step makes three."""
+    dims, boundary, pids = {
+        "1d-periodic": ((24,), "periodic", ["p0"]),
+        "2d-reflecting": ((6, 5), "reflecting", ["p0"]),
+        "3d-absorbing-V": ((4, 5, 3), "absorbing", ["p0", "p1"]),
+        "2d-split": ((6, 5), "reflecting", ["p0"]),
+    }[case]
+    spec = LatticeSpec(dims, boundary=boundary)
+    rng = np.random.default_rng(11)
+    v = rng.uniform(-2.0, 2.0, dims) if case == "3d-absorbing-V" else np.zeros(dims)
+    V = PotentialField(FieldGrid(spec, v))
+    p = StepParams(dt=0.02, p_phot=0.8, dt_phot=0.1, A=None if case == "1d-periodic" else 3000.0)
+    assert p.n_age == 5
+    s = SwarmState(spec)
+    for pid in pids:
+        psi = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        one = sample_from_wavefunction(psi / np.linalg.norm(psi), spec, 2000, rng, pid=pid)
+        s.add_particle(pid, one.fields[pid], one.scale[pid])
+
+    draws = []
+    if case == "2d-split":
+        monkeypatch.setattr(dynamics, "_STACK_CELLS", 2 * 4 * spec.ncells)
+    diffuse = dynamics._diffuse_counts
+    monkeypatch.setattr(dynamics, "_diffuse_counts",
+                        lambda c, *a: draws.append(len(c)) or diffuse(c, *a))
+    got, ref = s, s
+    rng_got, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(30):
+        got = step_stochastic(got, V, p, rng_got)
+        ref = per_cohort_step(ref, V, p, rng_ref)
+    assert draws[-1] == (1 if case == "2d-split" else 5)
+    assert max(draws) == (2 if case == "2d-split" else 5)
+    for pid in pids:
+        assert np.array_equal(got.fields[pid], ref.fields[pid])
+        assert got.scale[pid] == ref.scale[pid]
+        assert len(got.photons[pid]) == len(ref.photons[pid]) == 5
+        for c, c0 in zip(got.photons[pid], ref.photons[pid]):
+            assert np.array_equal(c.counts, c0.counts)
+            assert np.array_equal(c.pending, c0.pending) and c.age == c0.age
+    assert rng_got.random() == rng_ref.random()
 
 
 def test_steps_leave_their_input_unchanged():

@@ -25,6 +25,15 @@ def random_state(rng, n):
     return DiscreteState(list(range(n)), amps)
 
 
+def urn_draws(s, q, rng, n):
+    """The label indices of n :func:`born_measure` draws, in one call: the
+    same urn and, since ``rng.integers(total, size=n)`` continues the stream
+    as n single calls do, the same draws."""
+    counts = elementary_event_counts(s, q)
+    events = rng.integers(counts.sum(), size=n)
+    return np.searchsorted(np.cumsum(counts), events, side="right")
+
+
 def test_quantum_validation():
     with pytest.raises(DomainError):
         AmplitudeQuantum(0.0)
@@ -147,11 +156,24 @@ def test_born_random_states_within_3_sigma():
     for _ in range(20):
         s = random_state(rng, int(rng.integers(2, 17)))
         probs = np.abs(s.amplitudes) ** 2
-        draws = np.array([born_measure(s, q, rng) for _ in range(n)])
+        draws = urn_draws(s, q, rng, n)
         freq = np.bincount(draws, minlength=len(s.labels)) / n
         sd = np.sqrt(probs * (1 - probs) / n)
         # the urn discretizes probabilities at eps^2 granularity
         assert np.all(np.abs(freq - probs) <= 3 * sd + q.epsilon**2)
+
+
+def test_born_batched_draws_equal_single_draws():
+    """The batched reference above gives the labels of n single
+    :func:`born_measure` draws from the same seed and leaves the stream
+    where they leave it."""
+    s = DiscreteState(["a", "b", "c"], np.sqrt([0.5, 0.3, 0.2]))
+    q = AmplitudeQuantum(0.01)
+    batch_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+    batch = [s.labels[i] for i in urn_draws(s, q, batch_rng, 1000)]
+    assert batch == [born_measure(s, q, single_rng) for _ in range(1000)]
+    assert set(batch) == {"a", "b", "c"}
+    assert batch_rng.random() == single_rng.random()
 
 
 def test_born_degenerate():

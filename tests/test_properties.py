@@ -1,7 +1,9 @@
-"""Property tests of exact invariants: composite translation, pair
-cancellation, the four-field split, state reduction and stochastic counts."""
+"""Property tests of exact invariants (composite translation, pair
+cancellation, the four-field split, state reduction and stochastic counts)
+and of one statistical one: resampling keeps the expected field."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,9 +22,11 @@ from qswarm import (
     decay,
     glue,
     reduce_state,
+    resample,
+    swarm_budget,
     step_stochastic,
 )
-from qswarm.swarm import _split
+from qswarm.swarm import PhotonCohort, _split
 
 dims = st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple)
 finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
@@ -36,7 +40,8 @@ def counts_for(shape, top=10**6):
 @given(data=st.data())
 def test_periodic_glue_decay_returns_a_exactly(data):
     """b is a translated by its offset difference; gluing and decaying
-    again gives a's field and scale back bit for bit, and b a's samples."""
+    again gives a's field, scale and photon cohorts back bit for bit, and b
+    a's samples and cohorts."""
     shape = data.draw(dims)
     spec = LatticeSpec(shape)
     fa = data.draw(counts_for((4, *shape), top=50))
@@ -45,13 +50,25 @@ def test_periodic_glue_decay_returns_a_exactly(data):
     axes = tuple(range(1, len(shape) + 1))
     fb = np.roll(fa, np.subtract(ob, oa), axis=axes)
     scale = data.draw(st.floats(1e-3, 1e3))
+    cohorts = [
+        PhotonCohort(data.draw(counts_for((4, *shape), top=50)),
+                     data.draw(counts_for((4, *shape), top=50)), age)
+        for age in range(data.draw(st.integers(0, 3)))
+    ]
     state = SwarmState(spec)
     state.add_particle("a", fa.copy(), scale)
+    state.photons["a"] = list(cohorts)
     state.add_particle("b", fb, data.draw(st.floats(1e-3, 1e3)))
     cid = glue(state, "a", "b", InternalState((Branch(1.0 + 0j, (0, 1), (oa, ob)),)))
     assert decay(state, cid, np.random.default_rng(0)) == ("a", "b")
     assert np.array_equal(state.fields["a"], fa) and state.scale["a"] == scale
     assert np.array_equal(state.fields["b"], fb) and state.scale["b"] == scale
+    for pid, shift in (("a", 0), ("b", np.subtract(ob, oa))):
+        assert len(state.photons[pid]) == len(cohorts)
+        for c, c0 in zip(state.photons[pid], cohorts):
+            assert np.array_equal(c.counts, np.roll(c0.counts, shift, axis=axes))
+            assert np.array_equal(c.pending, np.roll(c0.pending, shift, axis=axes))
+            assert c.age == c0.age
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,3 +137,31 @@ def test_stochastic_step_keeps_integer_counts(data):
         state = step_stochastic(state, PotentialField(FieldGrid(spec, v)), p, rng)
         g = state.fields["p"]
         assert (g >= 0).all() and np.array_equal(g, np.floor(g))
+
+
+@pytest.mark.parametrize("factor", [0.37, 2.6])
+@pytest.mark.parametrize("shape", [(9,), (4, 5)], ids=["1d", "2d"])
+def test_resample_keeps_the_expected_field(shape, factor):
+    """resample scales the counts by one factor with stochastic rounding and
+    the scale by the same factor, so over 2000 seeds the mean unnormalised
+    field (s1 - s3 + i(s2 - s4)) / scale stays within three standard errors
+    of the input's in every cell."""
+    spec = LatticeSpec(shape)
+    state = SwarmState(spec)
+    state.add_particle("p0", np.random.default_rng(1).integers(0, 40, (4, *shape)), 7.0)
+    cancelled = cancel_pairs(state)
+    # the budget that makes the population change by ``factor``
+    A = factor * cancelled.fields["p0"].sum() / swarm_budget(cancelled, "p0", 1.0)
+
+    def raw(s):
+        f = s.fields["p0"]
+        return ((f[0] - f[2]) + 1j * (f[1] - f[3])) / s.scale["p0"]
+
+    n = 2000
+    runs = np.array([raw(resample(state, A, np.random.default_rng([5, k]))) for k in range(n)])
+    target = raw(state)
+    for part in (np.real, np.imag):
+        mc = part(runs)
+        se = mc.std(axis=0, ddof=1) / np.sqrt(n)
+        assert se.max() > 0  # the rounding is random
+        assert np.all(np.abs(mc.mean(axis=0) - part(target)) <= 3 * np.maximum(se, 1e-12))
