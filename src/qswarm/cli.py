@@ -189,7 +189,7 @@ def radial_profile(values: np.ndarray, rmax: int):
     return radii, prof
 
 
-def green_test(scenario: Scenario, outdir: str, tol: float = 1e-7) -> dict:
+def green_test(scenario: Scenario, outdir: str) -> dict:
     """Relax a central point source to equilibrium and test the 1/r law."""
     spec = scenario.lattice
     if spec.ndim != 3:
@@ -199,7 +199,7 @@ def green_test(scenario: Scenario, outdir: str, tol: float = 1e-7) -> dict:
     res = relax_to_green(
         FieldGrid(spec, source), FieldGrid(spec),
         scenario.potential_params["stay_prob"],
-        scenario.potential_params["relax_steps"], tol=tol,
+        scenario.potential_params["relax_steps"], tol=1e-7,
     )
     report = {"CONVERGED": res.converged, "ITERATIONS": res.iterations}
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, MemoryBudgetError
 from .lattice import FieldGrid, LatticeSpec, _add_inflow, field_laplacian
-from .swarm import PhotonCohort, SwarmState, _split, _stochastic_round, cancel_pairs, resample
+from .swarm import (PhotonCohort, SwarmState, _exact, _split, _stochastic_round, cancel_pairs,
+                    resample)
 
 # Cyclic type shifts of a (4, *dims) field: row j of f[_PREV] is f[j-1],
 # row j of f[_NEXT] is f[j+1].
@@ -42,7 +43,7 @@ _NEXT = np.array([1, 2, 3, 0])
 
 # Most (type, cell) counts hopped by one multinomial call.  Stacking saves
 # the per-call cost of small cohorts; past about 2**14 counts the larger
-# draw array (2d+1 int64 per count) costs more than that saves (measured
+# draw array (2d int64 per count) costs more than that saves (measured
 # on 1D to 3D Gaussians).
 _STACK_CELLS = 2**14
 
@@ -70,18 +71,16 @@ class PotentialField:
 class StepParams:
     """All tunable rates of one evolution step.
 
-    ``p_phot`` is the per-step photon hop rate (complement of the stay
-    probability); particle samples do not move by themselves.  The
-    connected-photon emission rate is not a parameter: it is calibrated so
-    the expected conversion flux reproduces the unit kinetic coefficient
-    (see :func:`calibrated_emission_rate`).  ``dt_phot`` is the photon
-    lifetime before conversion.  ``A`` is the resampling memory constant
-    (None disables resampling).  ``max_population`` bounds the stored
-    samples.
+    Every photon hops to a neighbor cell each step; particle samples do not
+    move by themselves.  The connected-photon emission rate is not a
+    parameter: it is calibrated so the expected conversion flux reproduces
+    the unit kinetic coefficient (see :func:`calibrated_emission_rate`).
+    ``dt_phot`` is the photon lifetime before conversion.  ``A`` is the
+    resampling memory constant (None disables resampling).
+    ``max_population`` bounds the stored samples.
     """
 
     dt: float
-    p_phot: float = 1.0
     dt_phot: float | None = None
     A: float | None = None
     max_population: float | None = None
@@ -93,8 +92,6 @@ class StepParams:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
-        if not 0.0 <= self.p_phot <= 1.0:
-            raise ConfigError("photon hop rate must be in [0, 1]")
         if self.dt_phot is None:
             self.dt_phot = self.dt
         if self.dt_phot < self.dt - 1e-12:
@@ -112,19 +109,20 @@ def calibrated_emission_rate(spec: LatticeSpec, p: StepParams) -> float:
     """Emission rate making the expected conversion flux equal Lap with unit
     coefficient.
 
-    A photon cohort diffusing for n_age steps acts as I + c*Lap with
-    c = n_age * p_phot * h^2 / (2d); with emission rate r the expected
-    deposit per step is r*dt*c*Lap, so r = 1/c.
+    A photon cohort hopping for n_age steps acts as I + c*Lap with
+    c = n_age * h^2 / (2d); with emission rate r the expected deposit per
+    step is r*dt*c*Lap, so r = 1/c = 2d / (n_age * h^2).  It is computed as
+    1/c: in 3D the other form can differ in the last bit.
     """
-    c = p.n_age * p.p_phot * spec.h**2 / (2 * spec.ndim)
-    if c <= 0:
-        raise ConfigError("cannot calibrate emission rate with zero photon hop rate")
+    c = p.n_age * spec.h**2 / (2 * spec.ndim)
+    if not c > 0 or not np.isfinite(1.0 / c):
+        raise ConfigError(f"cell spacing h={spec.h} makes the emission rate infinite")
     return 1.0 / c
 
 
 def check_meanfield_stability(spec: LatticeSpec, V: PotentialField, p: StepParams) -> None:
     """Explicit staggered scheme is stable for dt*(4d/h^2 + max|V|) <= 2."""
-    vmax = V._vmax if V is not None else 0.0
+    vmax = V._vmax
     bound = 2.0 / (4.0 * spec.ndim / spec.h**2 + vmax)
     if p.dt > bound * (1 + 1e-12):
         raise ConfigError(
@@ -163,34 +161,30 @@ def meanfield_update(
 
 def step_meanfield(s: SwarmState, V: PotentialField, p: StepParams) -> SwarmState:
     """Advance every particle of a state by one mean-field step."""
-    out = s._with_fields(
+    return s._with_fields(
         {pid: meanfield_update(f, V, s.spec, p) for pid, f in s.fields.items()}
     )
-    out.time += p.dt
-    return out
 
 
-def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, hop: float, rng) -> np.ndarray:
+def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     """Stochastic nearest-neighbor hop of integer per-cell counts.
 
-    The trailing axes of ``counts`` are the lattice; leading axes (the four
-    types of a cohort) are moved independently.  Cells are drawn in C order,
-    so one call on a stack draws what per-slice calls would, in turn.
+    Every count moves to one of its 2d axis neighbors with probability
+    1/(2d) each.  The trailing axes of ``counts`` are the lattice; leading
+    axes (types, stacked cohorts) are moved independently.  Cells are drawn
+    in C order, so one call on a stack draws what per-slice calls would.
     """
-    if hop <= 0.0:
-        return counts.copy()
     nd = spec.ndim
     lead = counts.ndim - nd
-    pvals = np.array([1.0 - hop] + [hop / (2 * nd)] * (2 * nd))
-    draws = rng.multinomial(counts.astype(np.int64).ravel(), pvals)
-    out = draws[:, 0].reshape(counts.shape).astype(float)
-    k = 1
+    draws = rng.multinomial(_exact(counts).astype(np.int64).ravel(), [1.0 / (2 * nd)] * (2 * nd))
+    out = np.zeros(counts.shape)
+    k = 0
     for axis in range(nd):
         for step in (+1, -1):
             moved = draws[:, k].reshape(counts.shape).astype(float)
             _add_inflow(out, moved, lead + axis, step, spec.boundary)
             k += 1
-    return out
+    return _exact(out)
 
 
 def step_stochastic(
@@ -211,12 +205,13 @@ def step_stochastic(
     A particle's cohorts hop in stacked transport draws, consecutive
     cohorts of at most ``_STACK_CELLS`` (type, cell) counts in each, at
     least one cohort per draw.  The draws take cells in cohort order, so
-    the stream and every count are those of one draw per cohort.
+    the stream and every count are those of one draw per cohort.  A count
+    that would pass 2**53, where float64 counts stop being exact, raises
+    MemoryBudgetError before it reaches a draw or the returned state.
     """
     spec = s.spec
     emit_rate = calibrated_emission_rate(spec, p)
     out = s.copy()
-    out.time += p.dt
     vvals = V.grid.values
 
     for pid in out.particles():
@@ -230,7 +225,7 @@ def step_stochastic(
             group = cohorts[lo:lo + run]
             # a lone cohort hops as a view: no stacked copy on large lattices
             stack = np.stack([c.counts for c in group]) if len(group) > 1 else group[0].counts[None]
-            moved = _diffuse_counts(stack, spec, p.p_phot, rng)
+            moved = _diffuse_counts(stack, spec, rng)
             for cohort, counts in zip(group, moved):
                 if cohort.age + 1 >= p.n_age:
                     # photons of type j convert into particle samples of type j+1
@@ -251,6 +246,7 @@ def step_stochastic(
         if vvals.any():
             spawn = _stochastic_round(f * (np.abs(vvals) * p.dt), rng)
             f += np.where(vvals > 0, spawn[_NEXT], spawn[_PREV])
+        _exact(f)
 
     # (e) normalization: cancel mutually canceling parts, hold the budget
     # (resample cancels pairs itself)

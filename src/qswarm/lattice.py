@@ -17,6 +17,7 @@ accumulate shifted values through it, in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,11 +43,15 @@ class LatticeSpec:
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
         object.__setattr__(self, "dims", dims)
+        if self.boundary not in list(Boundary):
+            raise DomainError(f"unknown boundary {self.boundary!r}")
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not 1 <= len(dims) <= 3:
             raise DomainError(f"lattice must have 1-3 axes, got {len(dims)}")
         if any(n < 2 for n in dims):
             raise DomainError(f"every axis needs >= 2 cells, got {dims}")
+        if math.prod(dims) > np.iinfo(np.intp).max:
+            raise DomainError(f"lattice {dims} has more cells than an array can index")
         if not self.h > 0:
             raise DomainError(f"cell spacing must be positive, got {self.h}")
 
@@ -86,9 +91,6 @@ class FieldGrid:
             raise DomainError(
                 f"field shape {self.values.shape} does not match lattice {self.spec.dims}"
             )
-
-    def copy(self) -> "FieldGrid":
-        return FieldGrid(self.spec, self.values.copy())
 
     def total(self) -> float:
         return float(self.values.sum())

@@ -50,12 +50,6 @@ class DiscreteState:
         if len(self.labels) != self.amplitudes.size:
             raise DomainError("labels and amplitudes differ in length")
 
-    def normalized(self) -> "DiscreteState":
-        n = np.linalg.norm(self.amplitudes)
-        if n == 0:
-            raise DegenerateStateError("state has no nonzero amplitude")
-        return DiscreteState(list(self.labels), self.amplitudes / n)
-
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -36,12 +36,6 @@ class ComplexField:
         if not np.all(np.isfinite(self.psi)):
             raise DomainError("psi must be finite")
 
-    def normalize(self) -> "ComplexField":
-        n = np.linalg.norm(self.psi)
-        if n == 0:
-            raise DomainError("cannot normalize the zero field")
-        return ComplexField(self.spec, self.psi / n)
-
     def density(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
 

@@ -83,7 +83,7 @@ class _Reader:
         self.name = name
         self.used: set[str] = set()
 
-    def _raw(self, key, default=None, required=False):
+    def get(self, key, default=None, required=False):
         if key in self.cfg:
             self.used.add(key)
             return self.cfg[key]
@@ -91,11 +91,8 @@ class _Reader:
             raise ConfigError(f"{self.name}: missing required key {key!r}")
         return default
 
-    def get(self, key, default=None, required=False):
-        return self._raw(key, default, required)
-
     def get_float(self, key, default=None, required=False):
-        v = self._raw(key, default, required)
+        v = self.get(key, default, required)
         if v is None or isinstance(v, (int, float)):
             return v
         try:
@@ -117,7 +114,7 @@ class _Reader:
         return int(v)
 
     def get_bool(self, key, default=False):
-        v = self._raw(key, None)
+        v = self.get(key, None)
         if v is None:
             return default
         if v.lower() in ("true", "yes", "1", "on"):
@@ -127,7 +124,7 @@ class _Reader:
         raise ConfigError(f"{self.name}: key {key!r}: expected a boolean, got {v!r}")
 
     def get_floats(self, key, default=None):
-        v = self._raw(key, None)
+        v = self.get(key, None)
         if v is None:
             return default
         try:
@@ -139,7 +136,7 @@ class _Reader:
         return xs
 
     def get_choice(self, key, choices, default=None, required=False):
-        v = self._raw(key, default, required)
+        v = self.get(key, default, required)
         if v is not None and v not in choices:
             raise ConfigError(
                 f"{self.name}: key {key!r}: expected one of {choices}, got {v!r}"
@@ -196,7 +193,6 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
 
     step = StepParams(
         dt=r.get_float("step.dt", required=True),
-        p_phot=r.get_float("step.p_phot", 1.0),
         dt_phot=r.get_float("step.dt_phot"),
         A=r.get_float("step.A"),
         max_population=r.get_float("step.max_population"),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, EmptySwarmError
+from .errors import DomainError, EmptySwarmError, MemoryBudgetError
 from .lattice import LatticeSpec
 
 
@@ -54,7 +54,6 @@ class SwarmState:
     photons: dict[str, list[PhotonCohort]] = dc_field(default_factory=dict)
     scale: dict[str, float] = dc_field(default_factory=dict)
     internal: dict[str, object] = dc_field(default_factory=dict)
-    time: float = 0.0
 
     def particles(self) -> list[str]:
         return list(self.fields)
@@ -98,7 +97,6 @@ class SwarmState:
             {k: list(v) for k, v in self.photons.items()},
             dict(self.scale),
             dict(self.internal),
-            self.time,
         )
 
 
@@ -138,8 +136,17 @@ def cancel_pairs(s: SwarmState) -> SwarmState:
     return s._with_fields(fields)
 
 
+def _exact(counts: np.ndarray) -> np.ndarray:
+    """``counts``, checked to lie below 2**53, where float64 counts are exact."""
+    if not counts.max() < 2.0**53:  # NaN fails too
+        raise MemoryBudgetError(f"sample count {counts.max():.3g} is past 2**53, "
+                                "where float64 counts stop being exact")
+    return counts
+
+
 def _stochastic_round(x: np.ndarray, rng) -> np.ndarray:
-    lo = np.floor(x)
+    """Integer counts with expectation ``x``, which must lie below 2**53."""
+    lo = np.floor(_exact(x))
     return lo + (rng.random(x.shape) < (x - lo))
 
 
@@ -195,6 +202,8 @@ def sample_from_wavefunction(
         raise DomainError(f"psi must be L2-normalized, got norm {nrm}")
     if K < 1:
         raise DomainError("sample count K must be >= 1")
+    if not deterministic and K > np.iinfo(np.int64).max:
+        raise DomainError(f"a drawn sample count K must fit in int64, got {K:.3g}")
 
     re = psi.real.ravel()
     im = psi.imag.ravel()

@@ -1,9 +1,11 @@
 """Command-line entry points: runs, reports and file outputs."""
 
+import re
+
 import numpy as np
 import pytest
 
-from qswarm import read_frame, sample_from_wavefunction
+from qswarm import read_frame, sample_from_wavefunction, scenario
 from qswarm.cli import main
 
 
@@ -305,6 +307,9 @@ def test_malformed_config_exit_code(tmp_path, capsys):
         "lattice.dims = 8\nlattice.boundary = absorbing\ninitial.center = 100\n" + delta,
         "lattice.dims = 8\nlattice.boundary = reflecting\ninitial.center = -10\n" + delta,
         "lattice.dims = 8\ninitial.center = 1e300\n" + delta,
+        # an unknown boundary, and more cells than an array can index
+        "lattice.dims = 8\nlattice.boundary = foo\n" + delta,
+        "lattice.dims = 1e30\n" + delta,
     ):
         cfg = write_cfg(tmp_path, text, name="bad.cfg")
         for mode in ("meanfield", "stochastic"):
@@ -312,6 +317,14 @@ def test_malformed_config_exit_code(tmp_path, capsys):
                                    "--out", str(tmp_path))
             assert code == 2, text
             assert err.startswith("error:")
+
+    # a drawn sample count must fit in int64; a deterministic one is free
+    cfg = write_cfg(tmp_path, base.replace("run.samples = 20000", "run.samples = 1e30"),
+                    name="huge.cfg")
+    code, _, err = run_cli(capsys, "run", cfg, "--mode", "stochastic", "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error:") and "int64" in err
+    code, _, _ = run_cli(capsys, "run", cfg, "--mode", "meanfield", "--out", str(tmp_path))
+    assert code == 0
 
     cfg = write_cfg(tmp_path, base, name="ok.cfg")
     code, _, err = run_cli(capsys, "run", cfg, "--seed", "-1", "--out", str(tmp_path))
@@ -334,6 +347,92 @@ def test_malformed_config_exit_code(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("lattice.h = 1e-10", "2\\*\\*53"),
+    ("step.dt = 1e300", "2\\*\\*53"),
+    ("potential.kind = harmonic\npotential.strength = 1e300", "2\\*\\*53"),
+    ("lattice.h = 1e-300", "cell spacing"),
+], ids=["h-1e-10", "dt-1e300", "harmonic-1e300", "h-1e-300"])
+def test_stochastic_counts_past_the_exact_range_exit_2(tmp_path, capsys, extra, message):
+    """A stochastic step whose counts would pass 2**53, where float64 counts
+    stop being exact integers, is a memory-budget error (exit 2), never a
+    wrapped int64 draw, a NaN norm or an infinite population; a cell
+    spacing so small that the emission rate is not finite is a config
+    error."""
+    text = "lattice.dims = 8\ninitial.kind = gaussian\ninitial.width = 2\n" \
+           "run.steps = 2\nrun.samples = 1000\n" + extra + "\n"
+    if "step.dt" not in extra:
+        text += "step.dt = 0.1\n"
+    cfg = write_cfg(tmp_path, text)
+    code, report, err = run_cli(capsys, "run", cfg, "--mode", "stochastic",
+                                "--out", str(tmp_path))
+    assert code == 2, report
+    assert err.startswith("error:")
+    assert re.search(message, err), err
+
+
+# Every key the scenario loader reads.
+CONFIG_KEYS = (
+    "lattice.dims", "lattice.h", "lattice.boundary",
+    "initial.kind", "initial.center", "initial.width", "initial.momentum", "initial.file",
+    "potential.kind", "potential.strength", "potential.width", "potential.v0",
+    "potential.charge", "potential.stay_prob", "potential.relax_steps", "potential.file",
+    "step.dt", "step.dt_phot", "step.A", "step.max_population",
+    "run.mode", "run.duration", "run.steps", "run.seed", "run.samples",
+    "output.every", "output.types", "output.pgm",
+)
+FUZZ_TOKENS = ("nan", "inf", "-1", "0", "0.5", "1e30", "foo", "")
+FUZZ_BASE = {
+    "lattice.dims": "8",
+    "initial.kind": "gaussian",
+    "initial.width": "2",
+    "step.dt": "0.1",
+    "run.steps": "1",
+    "run.samples": "1000",
+}
+# keys that only one kind reads are fuzzed under that kind
+COULOMB = {"potential.kind": "coulomb_relaxed", "lattice.boundary": "absorbing"}
+FUZZ_CONTEXT = {
+    "initial.file": {"initial.kind": "file"},
+    "potential.strength": {"potential.kind": "harmonic"},
+    "potential.width": {"potential.kind": "box"},
+    "potential.v0": {"potential.kind": "box"},
+    "potential.charge": COULOMB,
+    "potential.stay_prob": COULOMB,
+    "potential.relax_steps": COULOMB,
+    "potential.file": {"potential.kind": "file"},
+    "run.duration": {"run.steps": None},  # the duration sets the step count
+}
+
+
+def test_config_keys_are_every_key_read(monkeypatch):
+    read = []
+    get = scenario._Reader.get
+    monkeypatch.setattr(scenario._Reader, "get",
+                        lambda self, key, *a, **k: read.append(key) or get(self, key, *a, **k))
+    scenario.load_scenario("".join(f"{k} = {v}\n" for k, v in FUZZ_BASE.items()))
+    assert sorted(set(read)) == sorted(CONFIG_KEYS) and len(CONFIG_KEYS) == 28
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_config_fuzz_exits_0_or_2(tmp_path, capsys, key):
+    """Every key with every bad token, in both swarm modes: the run either
+    succeeds or exits 2 with an ``error:`` line, and raises nothing.  Only a
+    huge step count or duration is skipped: a long run is valid input."""
+    cfg_path = tmp_path / "fuzz.cfg"
+    for token in FUZZ_TOKENS:
+        if key in ("run.steps", "run.duration") and token == "1e30":
+            continue
+        cfg = {**FUZZ_BASE, **FUZZ_CONTEXT.get(key, {}), key: token}
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items() if v is not None))
+        for mode in ("meanfield", "stochastic"):
+            code, _, err = run_cli(capsys, "run", str(cfg_path), "--mode", mode,
+                                   "--out", str(tmp_path))
+            assert code in (0, 2), (key, token, mode)
+            if code == 2:
+                assert err.startswith("error:"), (key, token, mode, err)
 
 
 def test_removed_threads_flag_rejected(tmp_path, capsys):

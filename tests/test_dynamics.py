@@ -44,8 +44,8 @@ def state_from_counts(counts, spec, scale=1.0):
 def test_step_params_validation():
     with pytest.raises(ConfigError):
         StepParams(dt=0.0)
-    with pytest.raises(ConfigError):
-        StepParams(dt=0.1, p_phot=1.5)
+    with pytest.raises(TypeError):
+        StepParams(dt=0.1, p_phot=1.0)  # every photon hops: no stay probability
     with pytest.raises(ConfigError):
         StepParams(dt=0.1, dt_phot=0.05)
     with pytest.raises(ConfigError):
@@ -62,7 +62,7 @@ def test_step_params_validation():
 def test_calibration_matches_diffusion_coefficient():
     """One photon hop acts as I + c*Lap; the emission rate must be 1/c."""
     spec = LatticeSpec((16,))
-    p = StepParams(dt=0.1, p_phot=1.0)  # n_age = 1
+    p = StepParams(dt=0.1)  # n_age = 1
     c = diffusion_coefficient(spec, stay_prob=0.0)
     assert calibrated_emission_rate(spec, p) == pytest.approx(1.0 / c)
     # the underlying identity: D - I = c * Lap, exactly
@@ -72,10 +72,14 @@ def test_calibration_matches_diffusion_coefficient():
     assert np.allclose(moved, c * field_laplacian(f).values, atol=1e-12)
 
 
-def test_calibration_needs_hop_rate():
-    spec = LatticeSpec((16,))
-    with pytest.raises(ConfigError):
-        calibrated_emission_rate(spec, StepParams(dt=0.1, p_phot=0.0))
+def test_calibration_rejects_a_non_finite_rate():
+    """r = 2d/(n_age*h^2) overflows for a tiny cell spacing: a ConfigError
+    that names the spacing, not a ZeroDivisionError."""
+    p = StepParams(dt=0.1)
+    for h in (1e-300, 1e-160):
+        with pytest.raises(ConfigError, match="cell spacing"):
+            calibrated_emission_rate(LatticeSpec((16,), h=h), p)
+    assert calibrated_emission_rate(LatticeSpec((16,), h=1e-100), p) == pytest.approx(2e200)
 
 
 def test_potential_rejects_non_finite():
@@ -162,15 +166,15 @@ def test_stochastic_empty_swarm():
 
 
 def test_stochastic_single_sample_conversion():
-    """One type-1 sample at the calibrated rate 2 (1D, dt = dt_phot = 1,
-    p_phot = 1) emits exactly two photons; after two steps they sit as two
+    """One type-1 sample at the calibrated rate 2 (1D, dt = dt_phot = 1)
+    emits exactly two photons; after two steps they sit as two
     type-2 samples on the neighboring cells, and their two paired
     compensation samples of type 4 on the source cell."""
     spec = LatticeSpec((8,))
     counts = np.zeros((4, 8))
     counts[0, 3] = 1.0
     s = state_from_counts(counts, spec)
-    p = StepParams(dt=1.0, p_phot=1.0, dt_phot=1.0)
+    p = StepParams(dt=1.0, dt_phot=1.0)
     assert calibrated_emission_rate(spec, p) == 2.0
     rng = np.random.default_rng(0)
     V = PotentialField.zero(spec)
@@ -221,7 +225,7 @@ def test_stochastic_conversion_shifts_type():
     At the calibrated rate 2 one sample emits exactly two photons."""
     spec = LatticeSpec((4,))
     V = PotentialField.zero(spec)
-    p = StepParams(dt=1.0, p_phot=1.0, dt_phot=1.0)
+    p = StepParams(dt=1.0, dt_phot=1.0)
     for j in range(4):
         counts = np.zeros((4, 4))
         counts[j, 1] = 1.0
@@ -244,6 +248,32 @@ def test_stochastic_population_cap():
     p = StepParams(dt=0.5, max_population=100.0)  # calibrated rate 2
     with pytest.raises(MemoryBudgetError):
         step_stochastic(s, PotentialField.zero(spec), p, np.random.default_rng(0))
+
+
+def test_counts_past_2_53_raise_memory_budget_error():
+    """Float64 counts are exact integers only below 2**53: no larger (or
+    non-finite) count reaches a draw or a returned state."""
+    spec = LatticeSpec((8,))
+    rng = np.random.default_rng(0)
+    big = np.zeros((4, 8))
+    big[0, 3] = 2.0**53
+    with pytest.raises(MemoryBudgetError, match="2\\*\\*53"):
+        _diffuse_counts(big, spec, rng)
+    for bad in (2.0**53, np.inf, np.nan):
+        with pytest.raises(MemoryBudgetError):
+            _stochastic_round(np.array([1.0, bad]), rng)
+    big[0, 3] = 2.0**53 - 1  # the largest exact count still hops, all of it
+    assert _diffuse_counts(big, spec, rng).sum() == 2.0**53 - 1
+    # emission (rate 2, dt 0.1) stays in range, the field itself does not
+    big[0, 3] = 2.0**53
+    s = state_from_counts(big, spec)
+    with pytest.raises(MemoryBudgetError):
+        step_stochastic(s, PotentialField.zero(spec), StepParams(dt=0.1), rng, normalize=False)
+    # a resample budget past the range fails before its draw
+    big[0, 3] = 1.0
+    with pytest.raises(MemoryBudgetError):
+        step_stochastic(state_from_counts(big, spec), PotentialField.zero(spec),
+                        StepParams(dt=0.1, A=1e30), rng)
 
 
 def test_stochastic_matches_meanfield_in_expectation():
@@ -308,15 +338,15 @@ def test_diffuse_counts_stack_matches_per_type_calls(dims, boundary):
     counts = np.random.default_rng(5).integers(0, 6, size=(4, *dims)).astype(float)
     counts[2] = 0.0  # an empty type draws nothing
     rng_stack, rng_types = np.random.default_rng(9), np.random.default_rng(9)
-    stacked = _diffuse_counts(counts, spec, 0.7, rng_stack)
-    per_type = np.stack([_diffuse_counts(counts[j], spec, 0.7, rng_types) for j in range(4)])
+    stacked = _diffuse_counts(counts, spec, rng_stack)
+    per_type = np.stack([_diffuse_counts(counts[j], spec, rng_types) for j in range(4)])
     assert np.array_equal(stacked, per_type)
     assert rng_stack.random() == rng_types.random()
     # a (3, 4, *dims) stack of cohorts moves as three per-cohort calls
     cohorts = np.random.default_rng(6).integers(0, 6, size=(3, 4, *dims)).astype(float)
     cohorts[1] = 0.0
-    stacked = _diffuse_counts(cohorts, spec, 0.7, rng_stack)
-    per_cohort = np.stack([_diffuse_counts(c, spec, 0.7, rng_types) for c in cohorts])
+    stacked = _diffuse_counts(cohorts, spec, rng_stack)
+    per_cohort = np.stack([_diffuse_counts(c, spec, rng_types) for c in cohorts])
     assert np.array_equal(stacked, per_cohort)
     assert rng_stack.random() == rng_types.random()
 
@@ -326,13 +356,12 @@ def per_cohort_step(s, V, p, rng):
     spec = s.spec
     emit_rate = calibrated_emission_rate(spec, p)
     out = s.copy()
-    out.time += p.dt
     v = V.grid.values
     for pid in out.particles():
         f = out.fields[pid]
         kept = []
         for c in out.photons[pid]:
-            counts = _diffuse_counts(c.counts, spec, p.p_phot, rng)
+            counts = _diffuse_counts(c.counts, spec, rng)
             if c.age + 1 >= p.n_age:
                 f += counts[_PREV] + c.pending
             else:
@@ -362,7 +391,7 @@ def test_stacked_transport_matches_per_cohort_draws(case, monkeypatch):
     rng = np.random.default_rng(11)
     v = rng.uniform(-2.0, 2.0, dims) if case == "3d-absorbing-V" else np.zeros(dims)
     V = PotentialField(FieldGrid(spec, v))
-    p = StepParams(dt=0.02, p_phot=0.8, dt_phot=0.1, A=None if case == "1d-periodic" else 3000.0)
+    p = StepParams(dt=0.02, dt_phot=0.1, A=None if case == "1d-periodic" else 3000.0)
     assert p.n_age == 5
     s = SwarmState(spec)
     for pid in pids:
@@ -395,7 +424,7 @@ def test_stacked_transport_matches_per_cohort_draws(case, monkeypatch):
 
 def test_steps_leave_their_input_unchanged():
     """States share photon cohorts and unchanged fields, so no operation may
-    write its input's fields, cohorts, scale or time."""
+    write its input's fields, cohorts or scale."""
     spec = LatticeSpec((12,), boundary="reflecting")
     x = np.arange(12.0)
     psi = np.exp(-((x - 6.0) ** 2) / 8 + 0.5j * x)
@@ -415,7 +444,6 @@ def test_steps_leave_their_input_unchanged():
             {k: v.copy() for k, v in state.fields.items()},
             [(c.counts.copy(), c.pending.copy(), c.age) for c in state.photons["p0"]],
             dict(state.scale),
-            state.time,
         )
 
     before = snapshot(s)
@@ -432,10 +460,10 @@ def test_steps_leave_their_input_unchanged():
                                StepParams(dt=0.1)),
     ):
         op()
-        fields, cohorts, scale, time = snapshot(s)
+        fields, cohorts, scale = snapshot(s)
         assert fields.keys() == before[0].keys()
         assert all(np.array_equal(fields[k], before[0][k]) for k in fields)
         assert len(cohorts) == len(before[1])
         for (c, pend, age), (c0, pend0, age0) in zip(cohorts, before[1]):
             assert np.array_equal(c, c0) and np.array_equal(pend, pend0) and age == age0
-        assert scale == before[2] and time == before[3]
+        assert scale == before[2]

@@ -50,10 +50,11 @@ def test_parse_duplicate_key():
 
 
 def test_unknown_key_rejected():
-    # the drift conversion rule, its mass, the phase-compensation switch and
-    # the emission-rate override were removed; their keys are unknown
+    # the drift conversion rule, its mass, the phase-compensation switch,
+    # the emission-rate override and the photon stay probability were
+    # removed; their keys are unknown
     for extra in ("lattice.color = blue", "step.drift_rule = true", "step.mass = 1",
-                  "step.phase_compensation = false", "step.r_emit = 2"):
+                  "step.phase_compensation = false", "step.r_emit = 2", "step.p_phot = 1"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_scenario(BASE + extra + "\n")
 

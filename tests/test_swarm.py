@@ -190,6 +190,20 @@ def test_sample_rejects_unnormalized():
                                  spec, 10, np.random.default_rng(0))
 
 
+def test_drawn_sample_count_must_fit_int64():
+    """K above the int64 range is a DomainError when drawn (the multinomial
+    would overflow); deterministic counts take any K."""
+    spec = LatticeSpec((4,))
+    psi = np.full(4, 0.5, dtype=complex)
+    for K in (2**63, 10**30):
+        with pytest.raises(DomainError, match="int64"):
+            sample_from_wavefunction(psi, spec, K, np.random.default_rng(0))
+    s = sample_from_wavefunction(psi, spec, 10**30, None, deterministic=True)
+    assert s.population() == pytest.approx(1e30)
+    s = sample_from_wavefunction(psi, spec, 2**63 - 1, np.random.default_rng(0))
+    assert s.population() == pytest.approx(2.0**63)
+
+
 def test_roundtrip_error_scales_as_inverse_sqrt_K():
     rng = np.random.default_rng(11)
     spec = LatticeSpec((64,))
