@@ -173,6 +173,10 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
         "momentum": r.get_floats("initial.momentum", (0.0,) * spec.ndim),
         "file": r.get("initial.file"),
     }
+    if initial_params["width"] <= 0:
+        raise ConfigError(
+            f"{name}: key 'initial.width': must be > 0, got {initial_params['width']!r}"
+        )
     for key in ("center", "momentum"):
         if len(initial_params[key]) != spec.ndim:
             raise ConfigError(
@@ -322,6 +326,11 @@ def build_potential(s: Scenario) -> PotentialField:
             p["stay_prob"],
             p["relax_steps"],
         )
-        g = res.field.values
-        return PotentialField(FieldGrid(spec, -p["charge"] * g))
+        if not res.converged:
+            raise ConfigError(
+                f"coulomb_relaxed potential did not converge in potential.relax_steps = "
+                f"{p['relax_steps']} sweeps (last relative change {res.last_change:.3g}, "
+                f"{spec.boundary.value} boundary; only an absorbing one has a fixed point)"
+            )
+        return PotentialField(FieldGrid(spec, -p["charge"] * res.field.values))
     raise ConfigError(f"unknown potential kind {kind!r}")  # pragma: no cover

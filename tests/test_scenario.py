@@ -89,6 +89,9 @@ def test_bad_number_and_choice():
                      ("run.samples", "0"), ("output.every", "0"), ("run.seed", "-1")):
         with pytest.raises(ConfigError, match=f"{key}.*must be >="):
             load_scenario(with_key(key, bad, drop="run.steps"))
+    for bad in ("0", "-2"):
+        with pytest.raises(ConfigError, match="initial.width.*must be > 0"):
+            load_scenario(with_key("initial.width", bad))
     # the lower bounds themselves are accepted
     s = load_scenario(with_key("run.steps", "0") + "run.samples = 1\noutput.every = 1\n")
     assert (s.steps, s.samples, s.output_every) == (0, 1, 1)
@@ -228,6 +231,16 @@ def test_potential_relaxed_center_attractive():
     v = build_potential(s).grid.values
     assert v[8, 8, 8] < 0  # attractive well at the source
     assert abs(v[8, 8, 8]) > abs(v[8, 8, 12])  # decays with distance
+
+
+def test_potential_relaxed_unconverged_rejected():
+    """Without an absorbing edge the relaxation has no fixed point."""
+    s = load_scenario(
+        "lattice.dims = 16\ninitial.kind = delta\nstep.dt = 0.01\n"
+        "potential.kind = coulomb_relaxed\n"
+    )
+    with pytest.raises(ConfigError, match="potential.relax_steps = 20000"):
+        build_potential(s)
 
 
 def test_potential_file_roundtrip(tmp_path):
