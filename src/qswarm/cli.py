@@ -8,6 +8,10 @@ Subcommands:
     qswarm bench <config>          O(n N) step-time scaling table
     qswarm compare <A> <B>         density distance of two FRAME files
 
+``born-test`` draws every label from one ``default_rng([seed, 1])`` stream.
+``bench`` reports CPU seconds per step, the best of five repetitions
+interleaved across the particle counts.
+
 Common flags: --seed, --out, --mode.  The default output
 directory can also be set with the QSWARM_OUT environment variable.
 Reports are plain text, one ``KEY: value`` per line.
@@ -33,6 +37,9 @@ from .measure import (AmplitudeQuantum, born_measure, elementary_event_counts,
 from .oracle import density_error, reference_evolve
 from .scenario import Scenario, build_initial, build_potential, load_scenario_file
 from .swarm import reconstruct_wavefunction, sample_from_wavefunction
+
+BORN_CHUNK = 2**16  # most labels born-test holds at once
+BENCH_REPEATS = 5  # bench keeps the best of this many timed repetitions
 
 
 def step_rng(seed: int, step: int):
@@ -132,33 +139,35 @@ def run(scenario: Scenario, outdir: str) -> dict:
 def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
     """Repeated Born draws from the initial swarm's urn; urn statistics.
 
-    The swarm is reduced once; draw k is :func:`born_measure` on that urn
-    with ``step_rng(seed, k + 1)``, the cell :func:`measure_swarm` would
-    return.  Draws are scored against the urn weights l_j / sum(l), not
-    against the undiscretised |lambda_j|^2.
+    The swarm is reduced once, and every draw comes from one stream,
+    ``step_rng(seed, 1)``: draw k is the cell that the k-th successive
+    :func:`measure_swarm` of the initial swarm on that stream returns.  The
+    draws are taken ``BORN_CHUNK`` at a time.  They are scored against the
+    urn weights l_j / sum(l), not against the undiscretised |lambda_j|^2.
     """
     if draws < 1000:
         raise ConfigError("born-test needs draws >= 1000")
     spec = scenario.lattice
     psi0 = build_initial(scenario)
     q = AmplitudeQuantum.for_lattice(spec.ncells)
-    rng = step_rng(scenario.seed, 0)
-    base = sample_from_wavefunction(psi0.psi, spec, scenario.samples, rng,
-                                    deterministic=True)
+    base = sample_from_wavefunction(psi0.psi, spec, scenario.samples,
+                                    step_rng(scenario.seed, 0), deterministic=True)
     reduced = reduce_state(swarm_discrete_state(base), q)
     labels = reduced.labels
     events = elementary_event_counts(reduced, q)
     theory = events / events.sum()
 
     weight = dict(zip(labels, theory))
-    counts: dict[int, int] = {}
+    rng = step_rng(scenario.seed, 1)
+    counts = np.zeros(spec.ncells, dtype=np.int64)
     with open(os.path.join(outdir, "meas.log"), "w") as log:
-        for k in range(draws):
-            flat = born_measure(reduced, q, step_rng(scenario.seed, k + 1))
-            counts[flat] = counts.get(flat, 0) + 1
-            log.write(f"MEAS {k} {flat} {weight[flat]:.9g}\n")
+        for start in range(0, draws, BORN_CHUNK):
+            cells = born_measure(reduced, q, rng, size=min(BORN_CHUNK, draws - start))
+            counts += np.bincount(cells, minlength=spec.ncells)
+            log.writelines(f"MEAS {k} {flat} {weight[flat]:.9g}\n"
+                           for k, flat in enumerate(cells, start))
 
-    observed = np.array([counts.get(l, 0) for l in labels], dtype=float)
+    observed = counts[labels].astype(float)
     chi2, pval = sstats.chisquare(observed, theory * draws)
     report = {
         "DRAWS": draws,
@@ -233,7 +242,13 @@ def green_test(scenario: Scenario, outdir: str) -> dict:
 
 
 def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
-    """Wall time per stochastic step for n independent identical particles."""
+    """CPU seconds per stochastic step for n independent identical particles.
+
+    Every n's state is built and warmed up by one step first.  Then
+    ``BENCH_REPEATS`` repetitions, interleaved across n so that a slow spell
+    of the machine hits every n alike, each step the same warm state with
+    ``step_rng(seed, 1..steps)``; the least CPU time of this process counts.
+    """
     if not particle_counts:
         raise ConfigError("bench needs a non-empty particle list")
     if min(particle_counts) < 1:
@@ -244,7 +259,7 @@ def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
     psi0 = build_initial(scenario)
     V = build_potential(scenario)
     p = scenario.step
-    times = []
+    warm = []
     for n in particle_counts:
         rng = step_rng(scenario.seed, 0)
         state = sample_from_wavefunction(psi0.psi, spec, scenario.samples, rng, pid="p0")
@@ -252,11 +267,14 @@ def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
             extra = sample_from_wavefunction(psi0.psi, spec, scenario.samples, rng,
                                              pid=f"p{j}")
             state.add_particle(f"p{j}", extra.fields[f"p{j}"], extra.scale[f"p{j}"])
-        state = step_stochastic(state, V, p, step_rng(scenario.seed, 0))  # warm-up
-        t0 = _time.perf_counter()
-        for k in range(1, steps + 1):
-            state = step_stochastic(state, V, p, step_rng(scenario.seed, k))
-        times.append((_time.perf_counter() - t0) / steps)
+        warm.append(step_stochastic(state, V, p, step_rng(scenario.seed, 0)))
+    times = [np.inf] * len(warm)
+    for _ in range(BENCH_REPEATS):
+        for i, state in enumerate(warm):
+            t0 = _time.process_time()
+            for k in range(1, steps + 1):
+                state = step_stochastic(state, V, p, step_rng(scenario.seed, k))
+            times[i] = min(times[i], (_time.process_time() - t0) / steps)
 
     ns = np.asarray(particle_counts, dtype=float)
     ts = np.asarray(times)

@@ -41,6 +41,8 @@ class LatticeSpec:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
+        if not all(float(n).is_integer() for n in self.dims):  # False for nan, inf
+            raise DomainError(f"lattice dims must be whole numbers, got {self.dims}")
         dims = tuple(int(n) for n in self.dims)
         object.__setattr__(self, "dims", dims)
         if self.boundary not in list(Boundary):
@@ -52,8 +54,8 @@ class LatticeSpec:
             raise DomainError(f"every axis needs >= 2 cells, got {dims}")
         if math.prod(dims) > np.iinfo(np.intp).max:
             raise DomainError(f"lattice {dims} has more cells than an array can index")
-        if not self.h > 0:
-            raise DomainError(f"cell spacing must be positive, got {self.h}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise DomainError(f"cell spacing must be positive and finite, got {self.h}")
 
     @property
     def ndim(self) -> int:

@@ -84,15 +84,20 @@ def elementary_event_counts(s: DiscreteState, q: AmplitudeQuantum) -> np.ndarray
     return np.rint(np.abs(s.amplitudes) ** 2 / q.epsilon**2).astype(np.int64)
 
 
-def born_measure(s: DiscreteState, q: AmplitudeQuantum, rng):
-    """Draw one elementary event uniformly from the urn; return its label."""
+def born_measure(s: DiscreteState, q: AmplitudeQuantum, rng, size=None):
+    """Draw one elementary event uniformly from the urn; return its label.
+
+    With ``size``, return the list of labels of ``size`` successive single
+    draws, and leave ``rng`` where those draws leave it.
+    """
     counts = elementary_event_counts(s, q)
     total = counts.sum()
     if total <= 0:
         raise DegenerateStateError("no elementary events: degenerate state")
-    event = rng.integers(total)
-    idx = int(np.searchsorted(np.cumsum(counts), event, side="right"))
-    return s.labels[idx]
+    idx = np.searchsorted(np.cumsum(counts), rng.integers(total, size=size), side="right")
+    if size is None:
+        return s.labels[int(idx)]
+    return [s.labels[i] for i in idx.tolist()]
 
 
 def swarm_discrete_state(s: SwarmState, pid: str = "p0") -> DiscreteState:

@@ -15,8 +15,9 @@ Example::
     run.seed = 1
     output.every = 10
 
-Lines starting with ``#`` and blank lines are ignored.  Parse errors name
-the offending line.
+Blank lines and lines whose first non-blank character is ``#`` are
+ignored.  A ``#`` after a value is part of the value, so a file path may
+contain one.  Parse errors name the offending line.
 """
 
 from __future__ import annotations
@@ -240,6 +241,12 @@ def load_scenario_file(path) -> Scenario:
     return load_scenario(text, name=str(path))
 
 
+def _grid(spec: LatticeSpec) -> list[np.ndarray]:
+    """Cell-center coordinates of every axis, shaped to broadcast together."""
+    return np.meshgrid(*(spec.coordinates(a) for a in range(spec.ndim)),
+                       indexing="ij", sparse=True)
+
+
 def build_initial(s: Scenario) -> ComplexField:
     """The scenario's initial wave function, L2-normalized."""
     spec = s.lattice
@@ -259,23 +266,12 @@ def build_initial(s: Scenario) -> ComplexField:
         pos = [round(c / spec.h + (n - 1) / 2.0) for c, n in zip(p["center"], spec.dims)]
         psi.flat[cell_index(pos, spec)] = 1.0
     elif kind == "gaussian":
-        psi = np.ones(spec.dims, dtype=complex)
-        for axis in range(spec.ndim):
-            x = spec.coordinates(axis)
-            shape = [1] * spec.ndim
-            shape[axis] = -1
-            g = np.exp(
-                -((x - p["center"][axis]) ** 2) / (4.0 * p["width"] ** 2)
-                + 1j * p["momentum"][axis] * x
-            )
-            psi = psi * g.reshape(shape)
+        psi = math.prod(
+            np.exp(-((x - c) ** 2) / (4.0 * p["width"] ** 2) + 1j * k * x)
+            for x, c, k in zip(_grid(spec), p["center"], p["momentum"])
+        )
     elif kind == "plane_wave":
-        psi = np.ones(spec.dims, dtype=complex)
-        for axis in range(spec.ndim):
-            x = spec.coordinates(axis)
-            shape = [1] * spec.ndim
-            shape[axis] = -1
-            psi = psi * np.exp(1j * p["momentum"][axis] * x).reshape(shape)
+        psi = math.prod(np.exp(1j * k * x) for x, k in zip(_grid(spec), p["momentum"]))
     else:  # pragma: no cover
         raise ConfigError(f"unknown initial kind {kind!r}")
     n = np.linalg.norm(psi)
@@ -300,22 +296,13 @@ def build_potential(s: Scenario) -> PotentialField:
             )
         return PotentialField(FieldGrid(spec, fr.values))
     if kind == "harmonic":
-        v = np.zeros(spec.dims)
-        for axis in range(spec.ndim):
-            x = spec.coordinates(axis)
-            shape = [1] * spec.ndim
-            shape[axis] = -1
-            v = v + (x**2).reshape(shape)
-        return PotentialField(FieldGrid(spec, p["strength"] * v))
+        return PotentialField(FieldGrid(spec, p["strength"] * sum(x**2 for x in _grid(spec))))
     if kind == "box":
         # flat well of the given full width around the center, walls at v0
         width = p["width"] if p["width"] is not None else min(spec.dims) * spec.h / 2
         inside = np.ones(spec.dims, dtype=bool)
-        for axis in range(spec.ndim):
-            x = spec.coordinates(axis)
-            shape = [1] * spec.ndim
-            shape[axis] = -1
-            inside = inside & (np.abs(x) <= width / 2).reshape(shape)
+        for x in _grid(spec):
+            inside &= np.abs(x) <= width / 2
         return PotentialField(FieldGrid(spec, np.where(inside, 0.0, p["v0"])))
     if kind == "coulomb_relaxed":
         source = np.zeros(spec.dims)

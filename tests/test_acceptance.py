@@ -27,6 +27,7 @@ from qswarm import (
     glue,
     ground_state,
     laplacian_matrix,
+    load_scenario,
     measure_correlated,
     fock_diagonal_density,
     field_laplacian,
@@ -41,7 +42,7 @@ from qswarm import (
     symmetrized_amplitude,
     union_density,
 )
-from qswarm.cli import radial_profile, step_rng
+from qswarm.cli import bench_scaling, radial_profile, step_rng
 from qswarm.dynamics import meanfield_update
 
 
@@ -188,7 +189,7 @@ def test_acceptance_5_born_rule():
     q = AmplitudeQuantum(0.01)
     rng = np.random.default_rng(2)
     n = 10**5
-    hits = sum(born_measure(s, q, rng) == 0 for _ in range(n))
+    hits = born_measure(s, q, rng, size=n).count(0)
     freq_ok = abs(hits / n - 0.36) <= 3 * np.sqrt(0.36 * 0.64 / n)
 
     from scipy import stats
@@ -198,8 +199,7 @@ def test_acceptance_5_born_rule():
     amps /= np.linalg.norm(amps)
     s16 = DiscreteState(list(range(16)), amps)
     q16 = AmplitudeQuantum(0.005)
-    draws = np.array([born_measure(s16, q16, rng16) for _ in range(n)])
-    counts = np.bincount(draws, minlength=16).astype(float)
+    counts = np.bincount(born_measure(s16, q16, rng16, size=n), minlength=16).astype(float)
     # chi-square against the urn's own discretized weights
     from qswarm import elementary_event_counts
 
@@ -268,40 +268,14 @@ def test_acceptance_7_coulomb_green_function():
 
 
 def test_acceptance_8_linear_scaling():
-    spec = LatticeSpec((10000,))
-    x = np.arange(10000.0)
-    psi = np.exp(-((x - 5000) ** 2) / (4 * 50**2)).astype(complex)
-    psi /= np.linalg.norm(psi)
-    V = PotentialField.zero(spec)
-    p = StepParams(dt=0.1, A=2000.0)
-    K, steps = 20000, 10
-
-    ns = [1, 2, 4, 8]
-    states = []
-    for n in ns:
-        rng = step_rng(0, 0)
-        state = sample_from_wavefunction(psi, spec, K, rng, pid="p0")
-        for j in range(1, n):
-            extra = sample_from_wavefunction(psi, spec, K, rng, pid=f"p{j}")
-            state.add_particle(f"p{j}", extra.fields[f"p{j}"], extra.scale[f"p{j}"])
-        states.append(step_stochastic(state, V, p, step_rng(0, 0)))  # warm-up
-    # best of 5 per n, the repetitions interleaved across n so that a slow
-    # spell of the machine hits every n alike instead of one; each repetition
-    # steps the same warm-up state with the same streams, and CPU time of
-    # this process leaves out what other processes use
-    times = [np.inf] * len(ns)
-    for rep in range(5):
-        for i, warm in enumerate(states):
-            state = warm
-            t0 = time.process_time()
-            for k in range(1, steps + 1):
-                state = step_stochastic(state, V, p, step_rng(0, k))
-            times[i] = min(times[i], (time.process_time() - t0) / steps)
-
-    ts, narr = np.asarray(times), np.asarray(ns, dtype=float)
-    coef = np.polyfit(narr, ts, 1)
-    pred = np.polyval(coef, narr)
-    r2 = 1.0 - float(np.sum((ts - pred) ** 2) / np.sum((ts - ts.mean()) ** 2))
+    # a Gaussian of width 50 at cell 5000 of 10,000, K = 20,000 per particle;
+    # bench_scaling times n = 1, 2, 4, 8 particles, 10 steps, best of five
+    sc = load_scenario("lattice.dims = 10000\ninitial.kind = gaussian\n"
+                       "initial.center = 0.5\ninitial.width = 50\nstep.dt = 0.1\n"
+                       "step.A = 2000\nrun.samples = 20000\nrun.seed = 0\n")
+    report = bench_scaling(sc, [1, 2, 4, 8], 10)
+    times = [float(report[f"TIME_N{n}"]) for n in (1, 2, 4, 8)]
+    r2 = float(report["LINEAR_R2"])
     emit(f"  times={times} R2={r2:.4f}")
     verdict(8, r2 >= 0.98)
 

@@ -139,8 +139,9 @@ def test_born_test_report(tmp_path, capsys):
 
 
 def test_born_test_log_matches_measure_swarm(tmp_path, capsys):
-    """born-test draws from the urn it reduced once; draw k is the cell that
-    measure_swarm finds on the initial swarm with step_rng(seed, k + 1)."""
+    """born-test draws from the urn it reduced once, on one stream; draw k is
+    the cell of the k-th successive measure_swarm of the initial swarm on
+    step_rng(seed, 1)."""
     from qswarm import AmplitudeQuantum, build_initial, load_scenario_file, measure_swarm
     from qswarm.cli import step_rng
 
@@ -154,9 +155,35 @@ def test_born_test_log_matches_measure_swarm(tmp_path, capsys):
     base = sample_from_wavefunction(build_initial(sc).psi, sc.lattice, sc.samples,
                                     step_rng(3, 0), deterministic=True)
     q = AmplitudeQuantum.for_lattice(sc.lattice.ncells)
-    for k in range(100):
-        cell, _ = measure_swarm(base, q, step_rng(3, k + 1))
+    rng = step_rng(3, 1)
+    for k in range(len(labels)):
+        cell, _ = measure_swarm(base, q, rng)
         assert labels[k] == np.ravel_multi_index(cell, sc.lattice.dims)
+
+
+def test_born_test_draws_in_chunks(tmp_path, capsys, monkeypatch):
+    """born-test holds at most BORN_CHUNK labels at once, and the chunking
+    does not change what it writes or reports."""
+    from qswarm import cli
+
+    cfg = write_cfg(tmp_path, GAUSS_1D.format(steps=0, every=1))
+    whole, chunked = tmp_path / "whole", tmp_path / "chunked"
+    _, report, _ = run_cli(capsys, "born-test", cfg, "--draws", "1000",
+                           "--out", str(whole))
+
+    sizes, born_measure = [], cli.born_measure
+
+    def recording(s, q, rng, size=None):
+        sizes.append(size)
+        return born_measure(s, q, rng, size)
+
+    monkeypatch.setattr(cli, "born_measure", recording)
+    monkeypatch.setattr(cli, "BORN_CHUNK", 300)
+    _, report_chunked, _ = run_cli(capsys, "born-test", cfg, "--draws", "1000",
+                                   "--out", str(chunked))
+    assert sizes == [300, 300, 300, 100]
+    assert report_chunked == report
+    assert (chunked / "meas.log").read_text() == (whole / "meas.log").read_text()
 
 
 def test_run_oracle_frames_match_per_step_loop(tmp_path, capsys):

@@ -34,6 +34,16 @@ def test_spec_validation():
     assert spec.ndim == 2 and spec.ncells == 24
 
 
+@pytest.mark.parametrize("dims, h", [
+    ((2.5,), 1.0),  # fractional: not truncated to 2 cells
+    ((8, float("nan")), 1.0),
+    ((8,), float("inf")),  # would make every Laplacian zero
+], ids=["fractional-dims", "nan-dims", "infinite-h"])
+def test_spec_rejects_non_integral_or_non_finite(dims, h):
+    with pytest.raises(DomainError):
+        LatticeSpec(dims, h=h)
+
+
 def test_cell_index_origin():
     assert cell_index((0, 0), LatticeSpec((4, 4))) == 0
 

@@ -25,15 +25,6 @@ def random_state(rng, n):
     return DiscreteState(list(range(n)), amps)
 
 
-def urn_draws(s, q, rng, n):
-    """The label indices of n :func:`born_measure` draws, in one call: the
-    same urn and, since ``rng.integers(total, size=n)`` continues the stream
-    as n single calls do, the same draws."""
-    counts = elementary_event_counts(s, q)
-    events = rng.integers(counts.sum(), size=n)
-    return np.searchsorted(np.cumsum(counts), events, side="right")
-
-
 def test_quantum_validation():
     with pytest.raises(DomainError):
         AmplitudeQuantum(0.0)
@@ -131,7 +122,7 @@ def test_born_36_64_frequencies():
     q = AmplitudeQuantum(0.01)
     rng = np.random.default_rng(2)
     n = 10**5
-    hits = sum(born_measure(s, q, rng) == 0 for _ in range(n))
+    hits = born_measure(s, q, rng, size=n).count(0)
     sd = np.sqrt(0.36 * 0.64 / n)
     assert abs(hits / n - 0.36) <= 3 * sd
 
@@ -143,8 +134,7 @@ def test_born_uniform_chi_square():
     q = AmplitudeQuantum(0.01)
     rng = np.random.default_rng(3)
     n = 10**5
-    draws = np.array([born_measure(s, q, rng) for _ in range(n)])
-    observed = np.bincount(draws, minlength=4)
+    observed = np.bincount(born_measure(s, q, rng, size=n), minlength=4)
     _, p = stats.chisquare(observed)
     assert p > 0.001
 
@@ -156,24 +146,29 @@ def test_born_random_states_within_3_sigma():
     for _ in range(20):
         s = random_state(rng, int(rng.integers(2, 17)))
         probs = np.abs(s.amplitudes) ** 2
-        draws = urn_draws(s, q, rng, n)
-        freq = np.bincount(draws, minlength=len(s.labels)) / n
+        freq = np.bincount(born_measure(s, q, rng, size=n), minlength=len(s.labels)) / n
         sd = np.sqrt(probs * (1 - probs) / n)
         # the urn discretizes probabilities at eps^2 granularity
         assert np.all(np.abs(freq - probs) <= 3 * sd + q.epsilon**2)
 
 
 def test_born_batched_draws_equal_single_draws():
-    """The batched reference above gives the labels of n single
-    :func:`born_measure` draws from the same seed and leaves the stream
-    where they leave it."""
+    """``size=n`` gives the labels of n single draws from the same seed and
+    leaves the stream where they leave it, on urns of fewer and of more than
+    2^32 elementary events."""
     s = DiscreteState(["a", "b", "c"], np.sqrt([0.5, 0.3, 0.2]))
-    q = AmplitudeQuantum(0.01)
-    batch_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
-    batch = [s.labels[i] for i in urn_draws(s, q, batch_rng, 1000)]
-    assert batch == [born_measure(s, q, single_rng) for _ in range(1000)]
+    totals = []
+    for eps in (0.5, 0.01, 1e-4, 2.0**-16, 1e-5, 1e-6, 2.0**-31):
+        q = AmplitudeQuantum(eps)
+        totals.append(int(elementary_event_counts(s, q).sum()))
+        batch_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+        batch = born_measure(s, q, batch_rng, size=1000)
+        single = [born_measure(s, q, single_rng) for _ in range(1000)]
+        assert batch == single
+        assert all(isinstance(label, str) for label in single)
+        assert batch_rng.random() == single_rng.random()
     assert set(batch) == {"a", "b", "c"}
-    assert batch_rng.random() == single_rng.random()
+    assert min(totals) < 2**32 < max(totals) and max(totals) > 2**62
 
 
 def test_born_degenerate():
