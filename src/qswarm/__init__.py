@@ -27,6 +27,7 @@ from .lattice import (
     FieldGrid,
     GreenResult,
     LatticeSpec,
+    PotentialField,
     cell_coords,
     cell_index,
     diffuse_field,
@@ -45,7 +46,6 @@ from .swarm import (
     swarm_budget,
 )
 from .dynamics import (
-    PotentialField,
     StepParams,
     calibrated_emission_rate,
     check_meanfield_stability,

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import __version__
-from .dynamics import PotentialField, step_meanfield, step_stochastic
+from .dynamics import step_meanfield, step_stochastic
 from .errors import ConfigError, QswarmError
 from .frames import read_frame, write_frame
 from .lattice import FieldGrid, LatticeSpec, relax_to_green
@@ -157,7 +157,7 @@ def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
     events = elementary_event_counts(reduced, q)
     theory = events / events.sum()
 
-    weight = dict(zip(labels, theory))
+    weight = dict(zip(labels.tolist(), theory))
     rng = step_rng(scenario.seed, 1)
     counts = np.zeros(spec.ncells, dtype=np.int64)
     with open(os.path.join(outdir, "meas.log"), "w") as log:
@@ -165,7 +165,7 @@ def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
             cells = born_measure(reduced, q, rng, size=min(BORN_CHUNK, draws - start))
             counts += np.bincount(cells, minlength=spec.ncells)
             log.writelines(f"MEAS {k} {flat} {weight[flat]:.9g}\n"
-                           for k, flat in enumerate(cells, start))
+                           for k, flat in enumerate(cells.tolist(), start))
 
     observed = counts[labels].astype(float)
     chi2, pval = sstats.chisquare(observed, theory * draws)
@@ -198,6 +198,15 @@ def radial_profile(values: np.ndarray, rmax: int):
     return radii, prof
 
 
+def coulomb_fit(r: np.ndarray, prof: np.ndarray) -> tuple[float, float, float]:
+    """Fit a radial profile by C/r + D (D absorbs the grounded boundary's image
+    term); return C, the largest relative deviation and the log-log slope."""
+    slope, _ = np.polyfit(np.log(r), np.log(prof), 1)
+    (C, D), *_ = np.linalg.lstsq(np.stack([1.0 / r, np.ones_like(r)], axis=1), prof, rcond=None)
+    fit = C / r + D
+    return C, float(np.max(np.abs(prof - fit) / fit)), slope
+
+
 def green_test(scenario: Scenario, outdir: str) -> dict:
     """Relax a central point source to equilibrium and test the 1/r law."""
     spec = scenario.lattice
@@ -223,18 +232,12 @@ def green_test(scenario: Scenario, outdir: str) -> dict:
         return report
 
     radii, prof = radial_profile(res.field.values, rhi)
-    window = (radii >= rlo) & (radii <= rhi)
-    rw, fw = radii[window].astype(float), prof[window]
-    if rw.size >= 2:
-        # log-log slope of the radial falloff
-        slope, intercept = np.polyfit(np.log(rw), np.log(fw), 1)
-        # Coulomb fit F = C/r + D (D absorbs the grounded-boundary image term)
-        Amat = np.stack([1.0 / rw, np.ones_like(rw)], axis=1)
-        (C, D), *_ = np.linalg.lstsq(Amat, fw, rcond=None)
-        fit = C / rw + D
+    window = radii >= rlo
+    if np.count_nonzero(window) >= 2:
+        C, dev, slope = coulomb_fit(radii[window], prof[window])
         report["EXPONENT"] = f"{slope:.4f}"
         report["COULOMB_C"] = f"{C:.6g}"
-        report["MAX_REL_DEV"] = f"{float(np.max(np.abs(fw - fit) / fit)):.6g}"
+        report["MAX_REL_DEV"] = f"{dev:.6g}"
     for rr, ff in zip(radii, prof):
         report[f"PROFILE_R{rr}"] = f"{ff:.9g}"
     write_frame(os.path.join(outdir, "green.frame"), res.field.values, 0.0)

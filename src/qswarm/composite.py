@@ -238,8 +238,8 @@ def measure_correlated(state: SwarmState, cid: str, q: AmplitudeQuantum, rng) ->
     agree while each marginal is uniform.  The state is not changed.
     """
     internal = _composite(state, cid).internal
-    urn = DiscreteState([br.labels for br in internal.branches], internal.amplitudes())
-    return tuple(born_measure(urn, q, rng))
+    urn = DiscreteState(np.arange(len(internal.branches)), internal.amplitudes())
+    return tuple(internal.branches[born_measure(urn, q, rng)].labels)
 
 
 def assert_swarm_stability(state: SwarmState) -> None:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MemoryBudgetError
-from .lattice import FieldGrid, LatticeSpec, _add_inflow, field_laplacian
+from .errors import ConfigError, MemoryBudgetError
+from .lattice import FieldGrid, LatticeSpec, PotentialField, _add_inflow, field_laplacian
 from .swarm import (PhotonCohort, SwarmState, _exact, _split, _stochastic_round, cancel_pairs,
                     resample)
 
@@ -46,25 +46,6 @@ _NEXT = np.array([1, 2, 3, 0])
 # draw array (2d int64 per count) costs more than that saves (measured
 # on 1D to 3D Gaussians).
 _STACK_CELLS = 2**14
-
-
-@dataclass
-class PotentialField:
-    """Per-cell creation/annihilation rate (the potential V, signed)."""
-
-    grid: FieldGrid
-
-    def __post_init__(self):
-        # max|V| is read by every mean-field step's stability check; NaN
-        # propagates through both reductions
-        v = self.grid.values
-        self._vmax = float(max(v.max(), -v.min()))
-        if not np.isfinite(self._vmax):
-            raise DomainError("potential must be finite")
-
-    @classmethod
-    def zero(cls, spec: LatticeSpec) -> "PotentialField":
-        return cls(FieldGrid(spec))
 
 
 @dataclass

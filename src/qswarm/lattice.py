@@ -98,6 +98,25 @@ class FieldGrid:
         return float(self.values.sum())
 
 
+@dataclass
+class PotentialField:
+    """Per-cell creation/annihilation rate (the potential V, signed)."""
+
+    grid: FieldGrid
+
+    def __post_init__(self):
+        # max|V| is read by every mean-field step's stability check; NaN
+        # propagates through both reductions
+        v = self.grid.values
+        self._vmax = float(max(v.max(), -v.min()))
+        if not np.isfinite(self._vmax):
+            raise DomainError("potential must be finite")
+
+    @classmethod
+    def zero(cls, spec: LatticeSpec) -> "PotentialField":
+        return cls(FieldGrid(spec))
+
+
 def cell_index(position, spec: LatticeSpec) -> int:
     """Row-major linear index of an integer coordinate tuple.
 

@@ -1,10 +1,10 @@
 """Amplitude quantum, state reduction and Born-rule sampling.
 
-A discrete state is truncated ("reduced") by dropping every amplitude
-whose modulus is below the amplitude quantum epsilon and renormalizing.
-Measurement outcomes are drawn from an urn of elementary events, one per
-epsilon^2 of squared amplitude, which reproduces the Born probabilities
-|lambda_j|^2.
+A discrete state is a 1-D label array of one dtype, one label per
+amplitude.  It is truncated ("reduced") by dropping every amplitude whose
+modulus is below the amplitude quantum epsilon and renormalizing.  Born
+draws index the labels from an urn of elementary events, one per epsilon^2
+of squared amplitude, which reproduces the probabilities |lambda_j|^2.
 """
 
 from __future__ import annotations
@@ -40,15 +40,16 @@ class AmplitudeQuantum:
 
 @dataclass
 class DiscreteState:
-    """Basis labels with complex amplitudes, unit norm."""
+    """Basis labels, one 1-D array of a single dtype, with complex amplitudes, unit norm."""
 
-    labels: list
+    labels: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        self.labels = np.asarray(self.labels)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if len(self.labels) != self.amplitudes.size:
-            raise DomainError("labels and amplitudes differ in length")
+        if self.labels.ndim != 1 or self.labels.size != self.amplitudes.size:
+            raise DomainError(f"labels must be 1-D, one per amplitude, got {self.labels.shape}")
 
     @property
     def norm(self) -> float:
@@ -67,12 +68,11 @@ def reduce_state(s: DiscreteState, q: AmplitudeQuantum) -> DiscreteState:
         raise TotalReductionError(
             "all amplitudes below the amplitude quantum; state annihilated"
         )
-    labels = [l for l, k in zip(s.labels, keep) if k]
     amps = s.amplitudes[keep]
     n = np.linalg.norm(amps)
     if abs(n - 1.0) > 1e-12:  # skip the no-op division so reduction is idempotent
         amps = amps / n
-    return DiscreteState(labels, amps)
+    return DiscreteState(s.labels[keep], amps)
 
 
 def elementary_event_counts(s: DiscreteState, q: AmplitudeQuantum) -> np.ndarray:
@@ -87,7 +87,7 @@ def elementary_event_counts(s: DiscreteState, q: AmplitudeQuantum) -> np.ndarray
 def born_measure(s: DiscreteState, q: AmplitudeQuantum, rng, size=None):
     """Draw one elementary event uniformly from the urn; return its label.
 
-    With ``size``, return the list of labels of ``size`` successive single
+    With ``size``, return the array of labels of ``size`` successive single
     draws, and leave ``rng`` where those draws leave it.
     """
     counts = elementary_event_counts(s, q)
@@ -95,15 +95,13 @@ def born_measure(s: DiscreteState, q: AmplitudeQuantum, rng, size=None):
     if total <= 0:
         raise DegenerateStateError("no elementary events: degenerate state")
     idx = np.searchsorted(np.cumsum(counts), rng.integers(total, size=size), side="right")
-    if size is None:
-        return s.labels[int(idx)]
-    return [s.labels[i] for i in idx.tolist()]
+    return s.labels[idx]
 
 
 def swarm_discrete_state(s: SwarmState, pid: str = "p0") -> DiscreteState:
     """The swarm-reconstructed wave function as a discrete state over cell ids."""
     psi, _ = reconstruct_wavefunction(s, pid)
-    return DiscreteState(list(range(psi.size)), psi.ravel())
+    return DiscreteState(np.arange(psi.size), psi.ravel())
 
 
 def measure_swarm(s: SwarmState, q: AmplitudeQuantum, rng, pid: str = "p0"):

@@ -16,8 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError
-from .lattice import Boundary, FieldGrid, LatticeSpec
-from .dynamics import PotentialField
+from .lattice import Boundary, FieldGrid, LatticeSpec, PotentialField
 
 
 @dataclass

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PotentialField, StepParams
+from .dynamics import StepParams
 from .errors import ConfigError
 from .frames import read_frame
-from .lattice import FieldGrid, LatticeSpec, cell_index, relax_to_green
+from .lattice import FieldGrid, LatticeSpec, PotentialField, cell_index, relax_to_green
 from .oracle import ComplexField
 
 MODES = ("meanfield", "stochastic", "oracle")

@@ -234,6 +234,20 @@ def test_green_test_small_lattice_truncated(tmp_path, capsys):
     assert float(report["PROFILE_R1"]) > float(report["PROFILE_R3"]) > 0
 
 
+def test_green_test_coulomb_fit(tmp_path, capsys):
+    """A lattice wide enough for the r = 3..8 window reports the fit."""
+    cfg = write_cfg(
+        tmp_path,
+        "lattice.dims = 19 19 19\nlattice.boundary = absorbing\n"
+        "initial.kind = delta\nstep.dt = 0.01\n",
+    )
+    code, report, _ = run_cli(capsys, "green-test", cfg, "--out", str(tmp_path))
+    assert code == 0
+    assert report["CONVERGED"] == "True" and "WARNING" not in report
+    assert float(report["EXPONENT"]) < 0 and float(report["COULOMB_C"]) > 0
+    assert float(report["MAX_REL_DEV"]) <= 0.10
+
+
 def test_green_test_zero_charge(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

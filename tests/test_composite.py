@@ -497,6 +497,20 @@ def test_hierarchical_reconstructs_amplitudes():
     assert np.allclose(rebuilt, psi, atol=1e-12)
 
 
+def test_hierarchical_zero_marginal_reconstructs():
+    """A zero row has a zero marginal: the conditionals below it are
+    uniform, and the table still reconstructs."""
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    psi[1] = 0.0
+    psi /= np.linalg.norm(psi)
+    h = hierarchical_from_amplitudes(psi)
+    rebuilt = h.levels[0][:, None, None] * h.levels[1][:, :, None] * h.levels[2]
+    assert np.abs(rebuilt - psi).max() <= 1e-14
+    assert np.array_equal(h.levels[1][1], np.full(4, 0.5))
+    assert np.allclose(h.levels[2][1], 1 / np.sqrt(2))
+
+
 def test_depth_product_state_is_zero():
     a = np.array([0.6, 0.8])
     b = np.array([1 / np.sqrt(2), 1 / np.sqrt(2)])

@@ -35,6 +35,18 @@ def test_quantum_validation():
     assert q.max_terms == 100
 
 
+def test_labels_are_one_1d_array():
+    """Labels become one 1-D array, one per amplitude; tuple labels, a 2-D
+    array, a scalar or a length mismatch is a DomainError."""
+    s = DiscreteState(["a", "b"], [0.6, 0.8])
+    assert isinstance(s.labels, np.ndarray) and s.labels.shape == (2,)
+    for bad in ([(0, 0), (1, 1)], [[0], [1]], 0, [0, 1, 2]):
+        with pytest.raises(DomainError):
+            DiscreteState(bad, [0.6, 0.8])
+    draws = born_measure(s, AmplitudeQuantum(0.1), np.random.default_rng(0), size=5)
+    assert isinstance(draws, np.ndarray) and draws.dtype == s.labels.dtype
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -122,7 +134,7 @@ def test_born_36_64_frequencies():
     q = AmplitudeQuantum(0.01)
     rng = np.random.default_rng(2)
     n = 10**5
-    hits = born_measure(s, q, rng, size=n).count(0)
+    hits = np.count_nonzero(born_measure(s, q, rng, size=n) == 0)
     sd = np.sqrt(0.36 * 0.64 / n)
     assert abs(hits / n - 0.36) <= 3 * sd
 
@@ -164,7 +176,7 @@ def test_born_batched_draws_equal_single_draws():
         batch_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
         batch = born_measure(s, q, batch_rng, size=1000)
         single = [born_measure(s, q, single_rng) for _ in range(1000)]
-        assert batch == single
+        assert np.array_equal(batch, single)
         assert all(isinstance(label, str) for label in single)
         assert batch_rng.random() == single_rng.random()
     assert set(batch) == {"a", "b", "c"}

@@ -1,5 +1,8 @@
 """Reference integrator, eigensolver and comparison metrics."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,27 @@ def test_eigensolver_residual():
     E, psi = ground_state(spec, V)
     H = hamiltonian(spec, V)
     assert np.linalg.norm(H @ psi.psi.ravel() - E * psi.psi.ravel()) < 1e-8
+
+
+def test_energy_levels_sparse_path_matches_dense():
+    spec = LatticeSpec((21, 21), boundary=Boundary.ABSORBING)  # 441 cells: eigsh
+    x = spec.coordinates(0)
+    V = PotentialField(FieldGrid(spec, 0.1 * (x[:, None] ** 2 + x[None, :] ** 2)))
+    dense = np.sort(np.linalg.eigvalsh(hamiltonian(spec, V).toarray()))[:6]
+    assert np.abs(energy_levels(spec, V, 6) - dense).max() <= 1e-10
+
+
+def test_oracle_imports_no_stepping_code():
+    """The reference shares no code with the swarm integrators."""
+    import qswarm.oracle
+
+    names = set()  # every dotted part of every module or name imported
+    for node in ast.walk(ast.parse(Path(qswarm.oracle.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for dotted in [getattr(node, "module", None) or ""] + [a.name for a in node.names]:
+                names.update(dotted.split("."))
+    assert "lattice" in names
+    assert not names & {"dynamics", "swarm"}
 
 
 # ---------------------------------------------------------------------------

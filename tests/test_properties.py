@@ -112,7 +112,7 @@ def test_reduce_state_is_idempotent(amps, eps):
     except TotalReductionError:
         assume(False)
     twice = reduce_state(once, q)
-    assert twice.labels == once.labels
+    assert np.array_equal(twice.labels, once.labels)
     assert np.array_equal(twice.amplitudes, once.amplitudes)
 
 
