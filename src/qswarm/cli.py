@@ -200,9 +200,10 @@ def radial_profile(values: np.ndarray, rmax: int):
 
 def coulomb_fit(r: np.ndarray, prof: np.ndarray) -> tuple[float, float, float]:
     """Fit a radial profile by C/r + D (D absorbs the grounded boundary's image
-    term); return C, the largest relative deviation and the log-log slope."""
-    slope, _ = np.polyfit(np.log(r), np.log(prof), 1)
+    term); return C, the largest relative deviation and the log-log slope of
+    prof - D, which reads -1 where the 1/r law holds."""
     (C, D), *_ = np.linalg.lstsq(np.stack([1.0 / r, np.ones_like(r)], axis=1), prof, rcond=None)
+    slope, _ = np.polyfit(np.log(r), np.log(prof - D), 1)
     fit = C / r + D
     return C, float(np.max(np.abs(prof - fit) / fit)), slope
 

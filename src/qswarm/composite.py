@@ -280,30 +280,22 @@ class HierarchicalState:
 
 
 def hierarchical_from_amplitudes(psi: np.ndarray) -> HierarchicalState:
-    """Canonical nesting of a full amplitude table into conditionals."""
+    """Canonical nesting of a full amplitude table into conditionals.
+
+    Level j is the square root of the marginal over r_1..r_{j+1} (psi itself
+    at the last level) normalized along its last axis: dividing by the outer
+    marginal only rescales each row, which the normalization undoes.  A dead
+    row (norm below 1e-15, a branch of zero weight) carries the uniform row.
+    """
     psi = np.asarray(psi, dtype=complex)
     n = psi.ndim
     prob = np.abs(psi) ** 2
-    margins = []  # margins[j] = sqrt of the marginal over r_1..r_{j+1}
-    for j in range(n):
-        margins.append(np.sqrt(prob.sum(axis=tuple(range(j + 1, n)))))
     levels = []
     for j in range(n):
-        if j == 0:
-            lvl = margins[0].astype(complex)
-        elif j < n - 1:
-            lvl = margins[j] / np.where(margins[j - 1] == 0, 1.0, margins[j - 1])[..., None]
-        else:
-            lvl = psi / np.where(margins[n - 2] == 0, 1.0, margins[n - 2])[..., None]
-        # dead conditioning branches carry an arbitrary normalized row
+        lvl = psi if j == n - 1 else np.sqrt(prob.sum(axis=tuple(range(j + 1, n))))
         norms = np.sqrt((np.abs(lvl) ** 2).sum(axis=-1, keepdims=True))
-        dead = norms[..., 0] < 1e-15
-        if dead.any():
-            uniform = np.ones(lvl.shape[-1]) / math.sqrt(lvl.shape[-1])
-            lvl = np.where(dead[..., None], uniform, lvl / np.where(norms == 0, 1.0, norms))
-        else:
-            lvl = lvl / norms
-        levels.append(lvl)
+        uniform = 1 / math.sqrt(lvl.shape[-1])
+        levels.append(np.where(norms < 1e-15, uniform, lvl / np.maximum(norms, 1e-15)))
     return HierarchicalState(levels)
 
 
@@ -365,35 +357,21 @@ def symmetrized_amplitude(matrix: np.ndarray, statistics: str) -> complex:
 
 
 def _parity(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def fock_diagonal_density(states: list, statistics: str) -> np.ndarray:
     """Brute-force per-cell particle density of the (anti)symmetrized state
     of n one-particle wave functions, normalized to total mass n."""
-    psis = [np.asarray(p, dtype=complex).ravel() for p in states]
-    n = len(psis)
-    ncells = psis[0].size
+    P = np.stack([np.asarray(p, dtype=complex).ravel() for p in states])
+    n, ncells = P.shape
     dens = np.zeros(ncells)
     norm = 0.0
     for config in itertools.product(range(ncells), repeat=n):
-        M = np.array([[psis[j][c] for c in config] for j in range(n)])
-        w = abs(symmetrized_amplitude(M, statistics)) ** 2
+        w = abs(symmetrized_amplitude(P[:, config], statistics)) ** 2
         norm += w
-        for c in config:
-            dens[c] += w
+        np.add.at(dens, list(config), w)
     if norm == 0:
         raise DomainError("state vanishes identically")
     return dens / norm
@@ -427,10 +405,4 @@ def place_fermion_swarms(
 
 def union_density(swarms: list[SwarmState]) -> np.ndarray:
     """Summed per-cell sample density of several swarms, unit mass per swarm."""
-    total = None
-    for s in swarms:
-        pid = s.particles()[0]
-        psi, _ = reconstruct_wavefunction(s, pid)
-        d = np.abs(psi) ** 2
-        total = d if total is None else total + d
-    return total
+    return sum(np.abs(reconstruct_wavefunction(s, s.particles()[0])[0]) ** 2 for s in swarms)

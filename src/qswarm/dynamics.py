@@ -22,7 +22,10 @@ emit/convert cycle also contributes an identity term r*s_j (a pure global
 phase on the encoded wave function); every emission therefore creates a
 paired opposite-sign sample at the source cell, deposited at conversion
 time, which cancels that term in expectation so the expected stochastic
-update equals the mean-field update.
+update equals the mean-field update.  With V != 0 it does not: potential
+events spawn from the pre-step field, a forward-Euler update that grows by
+sqrt(1 + (V dt)^2) a step, and a packet in a harmonic well drifts to the
+lattice edge.
 """
 
 from __future__ import annotations

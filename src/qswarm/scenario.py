@@ -247,20 +247,23 @@ def _grid(spec: LatticeSpec) -> list[np.ndarray]:
                        indexing="ij", sparse=True)
 
 
+def _frame_values(section: str, path, spec: LatticeSpec) -> np.ndarray:
+    """The values of the FRAME file named by ``<section>.file``, on ``spec``."""
+    if not path:
+        raise ConfigError(f"{section}.kind = file needs {section}.file")
+    fr = read_frame(path)
+    if fr.dims != spec.dims:
+        raise ConfigError(f"{section} file dims {fr.dims} do not match lattice {spec.dims}")
+    return fr.values
+
+
 def build_initial(s: Scenario) -> ComplexField:
     """The scenario's initial wave function, L2-normalized."""
     spec = s.lattice
     kind = s.initial_kind
     p = s.initial_params
     if kind == "file":
-        if not p["file"]:
-            raise ConfigError("initial.kind = file needs initial.file")
-        fr = read_frame(p["file"])
-        if fr.dims != spec.dims:
-            raise ConfigError(
-                f"initial file dims {fr.dims} do not match lattice {spec.dims}"
-            )
-        psi = fr.values.astype(complex)
+        psi = _frame_values("initial", p["file"], spec).astype(complex)
     elif kind == "delta":
         psi = np.zeros(spec.dims, dtype=complex)
         pos = [round(c / spec.h + (n - 1) / 2.0) for c, n in zip(p["center"], spec.dims)]
@@ -287,14 +290,7 @@ def build_potential(s: Scenario) -> PotentialField:
     if kind == "zero":
         return PotentialField.zero(spec)
     if kind == "file":
-        if not p["file"]:
-            raise ConfigError("potential.kind = file needs potential.file")
-        fr = read_frame(p["file"])
-        if fr.dims != spec.dims:
-            raise ConfigError(
-                f"potential file dims {fr.dims} do not match lattice {spec.dims}"
-            )
-        return PotentialField(FieldGrid(spec, fr.values))
+        return PotentialField(FieldGrid(spec, _frame_values("potential", p["file"], spec)))
     if kind == "harmonic":
         return PotentialField(FieldGrid(spec, p["strength"] * sum(x**2 for x in _grid(spec))))
     if kind == "box":

@@ -511,6 +511,15 @@ def test_hierarchical_zero_marginal_reconstructs():
     assert np.allclose(h.levels[2][1], 1 / np.sqrt(2))
 
 
+def test_hierarchical_one_axis_keeps_phases():
+    """A 1-D table is its own only level: the phases are kept, not just the
+    magnitudes."""
+    psi = np.array([1, 1j, -1, -1j]) / 2
+    h = hierarchical_from_amplitudes(psi)
+    assert len(h.levels) == 1
+    assert np.abs(h.levels[0] - psi).max() <= 1e-15
+
+
 def test_depth_product_state_is_zero():
     a = np.array([0.6, 0.8])
     b = np.array([1 / np.sqrt(2), 1 / np.sqrt(2)])

@@ -6,6 +6,7 @@ import pytest
 from qswarm import (
     AmplitudeQuantum,
     Boundary,
+    ComplexField,
     ConfigError,
     DomainError,
     FieldGrid,
@@ -17,17 +18,20 @@ from qswarm import (
     calibrated_emission_rate,
     cancel_pairs,
     check_meanfield_stability,
+    density_error,
     diffuse_field,
     diffusion_coefficient,
     field_laplacian,
     measure_swarm,
     reconstruct_wavefunction,
+    reference_evolve,
     resample,
     sample_from_wavefunction,
     step_meanfield,
     step_stochastic,
 )
 from qswarm import dynamics
+from qswarm.cli import step_rng
 from qswarm.dynamics import _NEXT, _PREV, _diffuse_counts, meanfield_update
 from qswarm.swarm import PhotonCohort, _stochastic_round
 
@@ -327,6 +331,30 @@ def test_stochastic_deterministic_given_seed():
             s = step_stochastic(s, V, p, np.random.default_rng([3, k]))
         outs.append(s.fields["p0"])
     assert np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_stochastic_packet_in_a_harmonic_well_follows_the_oracle():
+    """One period of a displaced packet in V = 0.01 x^2 - 5 on 128 absorbing
+    cells at K = 1e4.  The potential events spawn from the pre-step field
+    (a forward-Euler update that grows each step), so the packet ends at the
+    lattice edge (mean 63.0) where the oracle's is at 7.9."""
+    spec = LatticeSpec((128,), boundary=Boundary.ABSORBING)
+    x = spec.coordinates(0)
+    V = PotentialField(FieldGrid(spec, 0.01 * x**2 - 5))
+    psi0 = np.exp(-((x - 12) ** 2) / 16).astype(complex)
+    psi0 /= np.linalg.norm(psi0)
+    dt, K = 0.02, 10**4
+    steps = int(round(2 * np.pi / 0.2 / dt))
+    oracle = reference_evolve(ComplexField(spec, psi0), V, steps * dt, dt)
+    p = StepParams(dt=dt, A=K / np.abs(psi0).sum())
+    state = sample_from_wavefunction(psi0, spec, K, step_rng(1, 0))
+    for k in range(1, steps + 1):
+        state = step_stochastic(state, V, p, step_rng(1, k))
+    psi, _ = reconstruct_wavefunction(state)
+    mean, oracle_mean = (float(x @ d / d.sum()) for d in (np.abs(psi) ** 2, oracle.density()))
+    assert density_error(psi, oracle) <= 0.15
+    assert abs(mean - oracle_mean) <= 2
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)

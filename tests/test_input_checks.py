@@ -1,0 +1,81 @@
+"""Bad input to the library raises DomainError from its own check, not a
+numpy error or a wrong result."""
+
+import numpy as np
+import pytest
+
+from qswarm import (
+    ComplexField,
+    DomainError,
+    FieldGrid,
+    HierarchicalState,
+    LatticeSpec,
+    SwarmState,
+    cell_index,
+    density_error,
+    depth_class,
+    fock_diagonal_density,
+    free_gaussian_1d,
+    relax_to_green,
+    sample_from_wavefunction,
+    symmetrized_amplitude,
+)
+
+LINE = LatticeSpec((8,))
+SQUARE = LatticeSpec((4, 4))
+UNIT = np.eye(8, dtype=complex)[3]
+
+
+def add(counts, scale=1.0):
+    SwarmState(LINE).add_particle("p0", counts, scale)
+
+
+CASES = {
+    "field-grid-shape": (lambda: FieldGrid(LINE, np.zeros(7)), "does not match lattice"),
+    "cell-index-arity": (lambda: cell_index((1, 2), LINE), "expected 1 coordinates"),
+    "green-lattices-differ": (
+        lambda: relax_to_green(FieldGrid(LINE), FieldGrid(LatticeSpec((9,))), 0.5, 10),
+        "lattices differ",
+    ),
+    "add-particle-shape": (lambda: add(np.zeros((4, 7))), "counts shape"),
+    "add-particle-negative": (lambda: add(-np.ones((4, 8))), "non-negative"),
+    "add-particle-scale": (lambda: add(np.ones((4, 8)), scale=0.0), "scale must be positive"),
+    "sample-psi-shape": (
+        lambda: sample_from_wavefunction(UNIT[:7], LINE, 10, np.random.default_rng(0)),
+        "psi shape",
+    ),
+    "sample-no-samples": (
+        lambda: sample_from_wavefunction(UNIT, LINE, 0, np.random.default_rng(0)),
+        "K must be >= 1",
+    ),
+    "complex-field-shape": (lambda: ComplexField(SQUARE, UNIT), "psi shape"),
+    "density-error-zero-mass": (
+        lambda: density_error(np.zeros(8), UNIT), "positive mass"
+    ),
+    "free-gaussian-2d": (lambda: free_gaussian_1d(SQUARE, 0.0, 1.0, 0.0), "1D lattice"),
+    "hierarchical-rank": (
+        lambda: HierarchicalState([np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
+        "level 1 must have 2 axes",
+    ),
+    "hierarchical-unnormalized": (
+        lambda: HierarchicalState([np.ones(2)]), "not normalized"
+    ),
+    "depth-negative": (
+        lambda: depth_class(HierarchicalState([np.array([1.0])]), -1), "depth must be >= 0"
+    ),
+    "statistics-name": (lambda: symmetrized_amplitude(np.eye(2), "anyon"), "statistics"),
+    "matrix-not-square": (
+        lambda: symmetrized_amplitude(np.ones((2, 3)), "fermion"), "square"
+    ),
+    "fock-vanishes": (
+        lambda: fock_diagonal_density([UNIT, UNIT], "fermion"), "vanishes identically"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_input_raises_domain_error(case):
+    call, message = CASES[case]
+    with pytest.raises(DomainError, match=message) as exc:
+        call()
+    assert type(exc.value) is DomainError

@@ -20,7 +20,9 @@ from qswarm import (
     TotalReductionError,
     cancel_pairs,
     decay,
+    depth_class,
     glue,
+    hierarchical_from_amplitudes,
     reduce_state,
     resample,
     swarm_budget,
@@ -69,6 +71,26 @@ def test_periodic_glue_decay_returns_a_exactly(data):
             assert np.array_equal(c.counts, np.roll(c0.counts, shift, axis=axes))
             assert np.array_equal(c.pending, np.roll(c0.pending, shift, axis=axes))
             assert c.age == c0.age
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hierarchical_levels_reconstruct_psi(data):
+    """The product of the conditional levels is the normalized table, dead
+    rows included, and every table is of its maximal depth class."""
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple))
+    part = hnp.arrays(float, shape, elements=st.floats(-1, 1, allow_subnormal=False))
+    psi = data.draw(part) + 1j * data.draw(part)
+    for _ in range(data.draw(st.integers(0, 2))):
+        psi[tuple(data.draw(st.integers(0, n - 1)) for n in shape[:-1])] = 0
+    assume(np.linalg.norm(psi) > 1e-6)
+    psi /= np.linalg.norm(psi)
+    h = hierarchical_from_amplitudes(psi)
+    rebuilt = np.ones(shape, dtype=complex)
+    for j, lvl in enumerate(h.levels):
+        rebuilt = rebuilt * lvl.reshape(lvl.shape + (1,) * (len(shape) - j - 1))
+    assert np.abs(rebuilt - psi).max() <= 1e-12
+    assert depth_class(h, len(shape) - 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -251,6 +251,20 @@ def test_potential_file_roundtrip(tmp_path):
     assert np.allclose(build_potential(s).grid.values, vals)
 
 
+def test_potential_file_dims_mismatch(tmp_path):
+    path = tmp_path / "v.frame"
+    write_frame(path, np.ones(8), 0.0)
+    s = load_scenario(BASE + f"potential.kind = file\npotential.file = {path}\n")
+    with pytest.raises(ConfigError, match=r"potential file dims \(8,\) do not match lattice \(32,\)"):
+        build_potential(s)
+
+
+def test_potential_file_missing_path():
+    s = load_scenario(BASE + "potential.kind = file\n")
+    with pytest.raises(ConfigError, match="potential.kind = file needs potential.file"):
+        build_potential(s)
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "scen.cfg"
     path.write_text(BASE)
