@@ -19,7 +19,6 @@ from .errors import (
     InterferenceConditionError,
     MemoryBudgetError,
     QswarmError,
-    SwarmStabilityError,
     TotalReductionError,
 )
 from .lattice import (
@@ -76,7 +75,6 @@ from .composite import (
     Composite,
     HierarchicalState,
     InternalState,
-    assert_swarm_stability,
     com_internal,
     decay,
     depth_class,

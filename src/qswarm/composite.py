@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DisjointnessError,
-    DomainError,
-    InterferenceConditionError,
-    SwarmStabilityError,
-)
+from .errors import DisjointnessError, DomainError, InterferenceConditionError
 from .lattice import Boundary, LatticeSpec, _add_inflow
 from .measure import AmplitudeQuantum, DiscreteState, born_measure
 from .swarm import PhotonCohort, SwarmState, reconstruct_wavefunction, sample_from_wavefunction
@@ -240,18 +235,6 @@ def measure_correlated(state: SwarmState, cid: str, q: AmplitudeQuantum, rng) ->
     internal = _composite(state, cid).internal
     urn = DiscreteState(np.arange(len(internal.branches)), internal.amplitudes())
     return tuple(internal.branches[born_measure(urn, q, rng)].labels)
-
-
-def assert_swarm_stability(state: SwarmState) -> None:
-    """All samples of one particle share the same type-level parameters.
-
-    The aggregated representation stores internal parameters once per
-    particle id, so a violation can only appear as a stale parameter entry
-    for a particle that no longer exists.
-    """
-    for pid in state.internal:
-        if pid not in state.fields:
-            raise SwarmStabilityError(f"internal parameters for unknown swarm {pid!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,3 @@ class DisjointnessError(DomainError):
 
 class InterferenceConditionError(DomainError):
     """A composite's internal state depends on the composite position."""
-
-
-class SwarmStabilityError(DomainError):
-    """A transformation tried to treat samples of one swarm differently."""

@@ -94,9 +94,6 @@ class FieldGrid:
                 f"field shape {self.values.shape} does not match lattice {self.spec.dims}"
             )
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 @dataclass
 class PotentialField:

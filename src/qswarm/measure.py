@@ -33,10 +33,6 @@ class AmplitudeQuantum:
         """Default epsilon = 1/sqrt(N) for N one-particle basis states."""
         return cls(1.0 / np.sqrt(ncells))
 
-    @property
-    def max_terms(self) -> int:
-        return int(np.floor(1.0 / self.epsilon**2 + 1e-9))
-
 
 @dataclass
 class DiscreteState:

@@ -9,6 +9,7 @@ tests between the two are meaningful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,26 +44,27 @@ def _laplacian_1d(n: int, boundary: Boundary) -> sp.spmatrix:
     main = -2.0 * np.ones(n)
     off = np.ones(n - 1)
     L = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    # boundary terms are added: on a 2-cell axis both neighbors are one cell
     if boundary is Boundary.PERIODIC:
-        L[0, -1] = 1.0
-        L[-1, 0] = 1.0
+        L[0, -1] += 1.0
+        L[-1, 0] += 1.0
     elif boundary is Boundary.REFLECTING:
         # mirrored neighbor: zero-gradient ends
-        L[0, 0] = -1.0
-        L[-1, -1] = -1.0
+        L[0, 0] += 1.0
+        L[-1, -1] += 1.0
     return L.tocsr()
 
 
-def laplacian_matrix(spec: LatticeSpec) -> sp.spmatrix:
+def laplacian_matrix(spec: LatticeSpec) -> sp.csr_matrix:
     """Sparse discrete Laplacian on the lattice, boundary handling as in
-    :func:`qswarm.lattice.field_laplacian`."""
+    :func:`qswarm.lattice.field_laplacian`.
+
+    The 1-D operators fold by Kronecker sums, last axis innermost, so cell
+    ids are row-major as in the lattice.
+    """
     mats = [_laplacian_1d(n, spec.boundary) for n in spec.dims]
-    L = None
-    for axis, m in enumerate(mats):
-        term = sp.identity(1, format="csr")
-        for other_axis, n in enumerate(spec.dims):
-            term = sp.kron(term, m if other_axis == axis else sp.identity(n), format="csr")
-        L = term if L is None else L + term
+    L = functools.reduce(lambda inner, outer: sp.kronsum(inner, outer, format="csr"),
+                         reversed(mats))
     return L / spec.h**2
 
 

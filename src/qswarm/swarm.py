@@ -205,24 +205,17 @@ def sample_from_wavefunction(
     if not deterministic and K > np.iinfo(np.int64).max:
         raise DomainError(f"a drawn sample count K must fit in int64, got {K:.3g}")
 
-    re = psi.real.ravel()
-    im = psi.imag.ravel()
-    weights = np.concatenate([np.abs(re), np.abs(im)])
+    parts = np.stack([psi.real, psi.imag])
+    weights = np.abs(parts).ravel()
     W = weights.sum()
-    expected = K * weights / W
     if deterministic:
-        counts = expected
+        counts = K * weights / W
     else:
         counts = rng.multinomial(K, weights / W).astype(float)
-    n = psi.size
-    cr, ci = counts[:n], counts[n:]
 
-    f = np.zeros((4, *spec.dims))
-    f[0] = np.where(re >= 0, cr, 0.0).reshape(spec.dims)
-    f[2] = np.where(re < 0, cr, 0.0).reshape(spec.dims)
-    f[1] = np.where(im >= 0, ci, 0.0).reshape(spec.dims)
-    f[3] = np.where(im < 0, ci, 0.0).reshape(spec.dims)
-
+    # signed counts in rows 0, 1; _split sorts them into the four types
+    f = np.empty((4, *spec.dims))
+    np.copysign(counts.reshape(parts.shape), parts, out=f[:2])
     out = SwarmState(spec)
-    out.add_particle(pid, f, scale=K / W)
+    out.add_particle(pid, _split(f), scale=K / W)
     return out

@@ -16,9 +16,7 @@ from qswarm import (
     LatticeSpec,
     PotentialField,
     StepParams,
-    SwarmStabilityError,
     SwarmState,
-    assert_swarm_stability,
     com_internal,
     decay,
     depth_class,
@@ -81,7 +79,6 @@ def test_glue_deltas_to_center_of_mass():
     assert state.internal[cid].constituents == ("a", "b")
     assert state.internal[cid].parts == (None, None)
     assert "a" not in state.fields and "b" not in state.fields
-    assert_swarm_stability(state)
 
 
 def test_glue_decay_roundtrip():
@@ -642,11 +639,3 @@ def test_fermion_overlap_rejected():
     psi2[4:] = 0.5
     with pytest.raises(DisjointnessError):
         place_fermion_swarms([psi1, psi2], spec, 100, np.random.default_rng(0))
-
-
-def test_swarm_stability_scan():
-    spec = LatticeSpec((8,))
-    state = two_particle_state(spec, (2,), (5,))
-    state.internal["ghost"] = BELL
-    with pytest.raises(SwarmStabilityError):
-        assert_swarm_stability(state)

@@ -32,7 +32,6 @@ def test_quantum_validation():
         AmplitudeQuantum(1.5)
     q = AmplitudeQuantum.for_lattice(100)
     assert q.epsilon == pytest.approx(0.1)
-    assert q.max_terms == 100
 
 
 def test_labels_are_one_1d_array():
