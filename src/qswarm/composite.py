@@ -284,16 +284,41 @@ def hierarchical_from_amplitudes(psi: np.ndarray) -> HierarchicalState:
 
 def depth_class(h: HierarchicalState, p: int, tol: float = 1e-9) -> bool:
     """True iff every conditional table depends only on its last p+1
-    coordinates (variation over the outer coordinates below ``tol``)."""
+    coordinates, up to a phase of its row (entries within ``tol``).
+
+    A row of level j is its last axis at fixed r_1..r_j: outer coordinates
+    o = r_1..r_{j-p} and class c = r_{j-p+1}..r_j.  Each row with non-zero
+    path weight (the product of the outer levels' |.|^2 along it) must be a
+    unit phase phi(o, c) times the heaviest such row of its class; rows of
+    zero weight carry no amplitude and are skipped.  phi moves onto the
+    level j-1 entry at (o, c), which every path through the row crosses, so
+    psi is unchanged, and level j-1 is tested with it.  For p = 0 the class
+    is empty and a row may differ from one reference by any phase of its
+    outer coordinates; for p >= 1 only phases that the outer levels absorb
+    without raising their own depth pass.  So the verdict holds iff psi,
+    wherever its path weight is non-zero, is a product of conditional
+    tables each of its last p+1 coordinates, whatever phases the given
+    levels split among themselves.
+    """
     if p < 0:
         raise DomainError("depth must be >= 0")
-    for lvl in h.levels:
-        outer = lvl.ndim - (p + 1)
-        if outer <= 0:
-            continue
-        mean = lvl.mean(axis=tuple(range(outer)), keepdims=True)
-        if np.max(np.abs(lvl - mean)) > tol:
+    levels = [lvl.copy() for lvl in h.levels]
+    weights = [np.ones(())]  # path weight of every row of level j
+    for lvl in levels[:-1]:
+        weights.append(weights[-1][..., None] * np.abs(lvl) ** 2)
+    for j in range(len(levels) - 1, p, -1):
+        lvl = levels[j]
+        nclass = math.prod(lvl.shape[j - p:j])
+        rows = lvl.reshape(-1, nclass, lvl.shape[-1])
+        w = weights[j].reshape(-1, nclass)
+        ref = rows[w.argmax(axis=0), np.arange(nclass)]
+        overlap = np.einsum("ocm,cm->oc", rows, ref.conj())
+        phase = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap),
+                          where=overlap != 0)
+        live = w > 0
+        if np.abs(rows - phase[..., None] * ref)[live].max(initial=0.0) > tol:
             return False
+        levels[j - 1] *= np.where(live, phase, 1).reshape(levels[j - 1].shape)
     return True
 
 

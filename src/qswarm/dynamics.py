@@ -21,9 +21,13 @@ The kinetic term arises from photon transport alone.  The raw
 emit/convert cycle also contributes an identity term r*s_j (a pure global
 phase on the encoded wave function); every emission therefore creates a
 paired opposite-sign sample at the source cell, deposited at conversion
-time, which cancels that term in expectation so the expected stochastic
-update equals the mean-field update.  With V != 0 it does not: potential
-events spawn from the pre-step field, a forward-Euler update that grows by
+time, which cancels that term in expectation.  The expected stochastic
+update is still not the mean-field update.  Photons emitted at step t
+convert at step t + n_age, so it is the delayed recurrence
+psi_{t+1} = psi_t + i r dt (T^n_age - 1) psi_{t+1-n_age}, T the one-hop
+walk, whose largest root lies outside the unit circle for every n_age: a
+moving packet lags the exact one.  With V != 0 the potential events also
+spawn from the pre-step field, a forward-Euler update that grows by
 sqrt(1 + (V dt)^2) a step, and a packet in a harmonic well drifts to the
 lattice edge.
 """

@@ -266,7 +266,10 @@ def build_initial(s: Scenario) -> ComplexField:
         psi = _frame_values("initial", p["file"], spec).astype(complex)
     elif kind == "delta":
         psi = np.zeros(spec.dims, dtype=complex)
-        pos = [round(c / spec.h + (n - 1) / 2.0) for c, n in zip(p["center"], spec.dims)]
+        # half a cell rounds up, so the default centre is cell n // 2 for every n,
+        # the cell of the point source of a relaxed potential
+        pos = [math.floor(c / spec.h + (n - 1) / 2.0 + 0.5)
+               for c, n in zip(p["center"], spec.dims)]
         psi.flat[cell_index(pos, spec)] = 1.0
     elif kind == "gaussian":
         psi = math.prod(

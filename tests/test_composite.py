@@ -561,6 +561,37 @@ def test_depth_monotone():
     assert found == list(range(lowest, 4))
 
 
+_X16 = np.arange(16) - 7.5
+
+
+@pytest.mark.parametrize("a", [
+    np.exp(-(_X16 / 5) ** 2),
+    np.exp(-(_X16 / 5) ** 2) * np.sign(_X16 - 1.9),
+    np.exp(-(_X16 / 5) ** 2 + 0.4j * _X16),
+    (np.abs(_X16) < 2).astype(float),
+], ids=["positive", "sign-change", "phase", "zero-rows"])
+def test_depth_product_with_outer_signs_phases_and_zeros_is_zero(a):
+    """psi = a(r1) b(r2) with a complex b is depth 0 whatever the outer
+    factor: its sign and phase are a phase of the last level's rows, and the
+    rows where it vanishes carry no amplitude."""
+    b = np.exp(-(_X16 / 4) ** 2 + 0.3j * _X16)
+    psi = np.multiply.outer(a, b)
+    h = hierarchical_from_amplitudes(psi / np.linalg.norm(psi))
+    assert depth_class(h, 0)
+
+
+def test_depth_keeps_a_row_phase_the_outer_levels_cannot_absorb():
+    """On three axes e^{0.7i r1 r2} is a phase of the last level's rows too,
+    but a depth-0 middle level cannot carry it: it entangles r1 with r2."""
+    rng = np.random.default_rng(0)
+    a, b, c = rng.random((3, 5)) + 0.1
+    r = np.arange(5)
+    psi = np.einsum("i,j,k->ijk", a, b, c) * np.exp(0.7j * np.multiply.outer(r, r))[..., None]
+    h = hierarchical_from_amplitudes(psi / np.linalg.norm(psi))
+    assert not depth_class(h, 0)
+    assert depth_class(h, 1)
+
+
 # ---------------------------------------------------------------------------
 # determinant / permanent
 

@@ -139,9 +139,14 @@ def _stencil_cases():
             yield pytest.param(shape, boundary, id=name)
 
 
-@pytest.mark.parametrize("shape, boundary", _stencil_cases())
+@pytest.mark.parametrize("shape, boundary", [
+    *_stencil_cases(),
+    # on a 2-cell axis both neighbors of a cell are the other cell
+    *(pytest.param(shape, boundary, id=f"{'x'.join(map(str, shape))}-{boundary.value}")
+      for shape in ((2,), (2, 5)) for boundary in (Boundary.PERIODIC, Boundary.REFLECTING)),
+])
 def test_laplacian_matches_sparse_matrix(shape, boundary):
-    """field_laplacian agrees with the independent kron-built operator."""
+    """field_laplacian agrees with the independent kronsum-built operator."""
     rng = np.random.default_rng(3)
     spec = LatticeSpec(shape, h=0.5, boundary=boundary)
     f = rng.standard_normal(spec.dims)

@@ -93,6 +93,48 @@ def test_hierarchical_levels_reconstruct_psi(data):
     assert depth_class(h, len(shape) - 1)
 
 
+def window_product(data, shape, q):
+    """A normalized product of complex tables c_j, each of r_{j-q+1}..r_{j+1}
+    only (magnitudes in [0.1, 1], about a fifth of the entries zero), or
+    None if it vanishes."""
+    psi = np.ones(shape, dtype=complex)
+    for j in range(len(shape)):
+        axes = range(max(j - q, 0), j + 1)
+        window = tuple(shape[a] if a in axes else 1 for a in range(len(shape)))
+        cells = hnp.arrays(float, window, elements=st.floats(0.1, 1))
+        angle = hnp.arrays(float, window, elements=st.floats(0, 2 * np.pi))
+        zero = hnp.arrays(bool, window, elements=st.sampled_from([False] * 4 + [True]))
+        psi = psi * np.where(data.draw(zero), 0, data.draw(cells) * np.exp(1j * data.draw(angle)))
+    norm = np.linalg.norm(psi)
+    return psi / norm if norm > 0 else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_complex_product_tensors_with_zeros_are_depth_zero(data):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple))
+    psi = window_product(data, shape, 0)
+    assume(psi is not None)
+    assert depth_class(hierarchical_from_amplitudes(psi), 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_outer_coordinate_phase_keeps_every_depth_verdict(data):
+    """A product of tables of q+1 consecutive coordinates is depth q, and
+    multiplying it by e^{i theta(r1)} changes no depth_class verdict."""
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple))
+    q = data.draw(st.integers(0, len(shape) - 1))
+    psi = window_product(data, shape, q)
+    assume(psi is not None)
+    theta = data.draw(hnp.arrays(float, shape[0], elements=st.floats(0, 2 * np.pi)))
+    turned = psi * np.exp(1j * theta).reshape((-1,) + (1,) * (len(shape) - 1))
+    verdicts = [[depth_class(hierarchical_from_amplitudes(x), p) for p in range(len(shape))]
+                for x in (psi, turned)]
+    assert verdicts[0] == verdicts[1]
+    assert all(verdicts[0][q:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(f=dims.flatmap(lambda s: hnp.arrays(
     float, (4, *s), elements=st.floats(0, 1e9, allow_nan=False))))

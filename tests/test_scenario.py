@@ -136,6 +136,15 @@ def test_initial_delta():
     assert psi[4] == 1.0 and np.count_nonzero(psi) == 1
 
 
+@pytest.mark.parametrize("n", [10, 18, 34])
+def test_initial_delta_default_center_is_middle_cell(n):
+    """The default delta sits on cell n // 2, where relaxed potentials put
+    their point source, also when n = 2 (mod 4): half a cell rounds up."""
+    s = load_scenario(f"lattice.dims = {n} {n}\ninitial.kind = delta\nstep.dt = 0.01\n")
+    psi = build_initial(s).psi
+    assert psi[n // 2, n // 2] == 1.0 and np.count_nonzero(psi) == 1
+
+
 def test_initial_delta_offcenter():
     s = load_scenario(
         "lattice.dims = 9\ninitial.kind = delta\ninitial.center = 2\nstep.dt = 0.1\n"
