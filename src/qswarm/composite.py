@@ -283,22 +283,20 @@ def hierarchical_from_amplitudes(psi: np.ndarray) -> HierarchicalState:
 
 
 def depth_class(h: HierarchicalState, p: int, tol: float = 1e-9) -> bool:
-    """True iff every conditional table depends only on its last p+1
-    coordinates, up to a phase of its row (entries within ``tol``).
+    """True iff psi is a product of conditional tables, each a function of
+    its last p+1 coordinates only, wherever psi's path weight is non-zero.
 
-    A row of level j is its last axis at fixed r_1..r_j: outer coordinates
-    o = r_1..r_{j-p} and class c = r_{j-p+1}..r_j.  Each row with non-zero
-    path weight (the product of the outer levels' |.|^2 along it) must be a
-    unit phase phi(o, c) times the heaviest such row of its class; rows of
-    zero weight carry no amplitude and are skipped.  phi moves onto the
-    level j-1 entry at (o, c), which every path through the row crosses, so
-    psi is unchanged, and level j-1 is tested with it.  For p = 0 the class
-    is empty and a row may differ from one reference by any phase of its
-    outer coordinates; for p >= 1 only phases that the outer levels absorb
-    without raising their own depth pass.  So the verdict holds iff psi,
-    wherever its path weight is non-zero, is a product of conditional
-    tables each of its last p+1 coordinates, whatever phases the given
-    levels split among themselves.
+    The row of level j at outer coordinates o = r_1..r_{j-p} and class
+    c = r_{j-p+1}..r_j (its last axis at fixed r_1..r_j) must equal, within
+    ``tol`` per entry, a unit phase phi(o, c) times the heaviest row of its
+    class.  Rows of zero path weight (the product of the outer levels'
+    |.|^2 along them) carry no amplitude and are skipped.  phi then moves
+    onto the level j-1 entry at (o, c), which leaves psi unchanged, and
+    level j-1 is tested with it.  So for every p "up to a phase" means a
+    row phase that the outer levels can carry without a depth above p: on
+    two axes any phase of r_1 keeps a product depth 0, but on three axes a
+    generic e^{i theta(r_1, r_2)} does not.  The verdict does not depend on how the
+    given levels split psi's phases among themselves.
     """
     if p < 0:
         raise DomainError("depth must be >= 0")

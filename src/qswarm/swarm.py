@@ -205,17 +205,20 @@ def sample_from_wavefunction(
     if not deterministic and K > np.iinfo(np.int64).max:
         raise DomainError(f"a drawn sample count K must fit in int64, got {K:.3g}")
 
-    parts = np.stack([psi.real, psi.imag])
-    weights = np.abs(parts).ravel()
-    W = weights.sum()
-    if deterministic:
-        counts = K * weights / W
-    else:
-        counts = rng.multinomial(K, weights / W).astype(float)
-
-    # signed counts in rows 0, 1; _split sorts them into the four types
+    # rows 0, 1 hold the weights |Re psi|, |Im psi|, then the counts, then
+    # the signed counts, which _split sorts into the four types
     f = np.empty((4, *spec.dims))
-    np.copysign(counts.reshape(parts.shape), parts, out=f[:2])
+    np.abs(psi.real, out=f[0])
+    np.abs(psi.imag, out=f[1])
+    counts = f[:2].reshape(-1)
+    W = counts.sum()
+    if deterministic:
+        counts *= K
+        counts /= W
+    else:
+        counts[:] = rng.multinomial(K, counts / W)
+    np.copysign(f[0], psi.real, out=f[0])
+    np.copysign(f[1], psi.imag, out=f[1])
     out = SwarmState(spec)
     out.add_particle(pid, _split(f), scale=K / W)
     return out
