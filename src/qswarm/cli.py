@@ -12,8 +12,7 @@ Subcommands:
 ``bench`` reports CPU seconds per step, the best of five repetitions
 interleaved across the particle counts.
 
-Common flags: --seed, --out, --mode.  The default output
-directory can also be set with the QSWARM_OUT environment variable.
+Common flags: --seed, --out (default: the current directory), --mode.
 Reports are plain text, one ``KEY: value`` per line.
 """
 
@@ -31,7 +30,7 @@ from . import __version__
 from .dynamics import step_meanfield, step_stochastic
 from .errors import ConfigError, QswarmError
 from .frames import read_frame, write_frame
-from .lattice import FieldGrid, LatticeSpec, relax_to_green
+from .lattice import FieldGrid, relax_to_green
 from .measure import (AmplitudeQuantum, born_measure, elementary_event_counts,
                       reduce_state, swarm_discrete_state)
 from .oracle import density_error, reference_evolve
@@ -48,9 +47,8 @@ def step_rng(seed: int, step: int):
 
 
 def _outdir(args) -> str:
-    out = args.out or os.environ.get("QSWARM_OUT", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_pgm(path, values: np.ndarray) -> None:
@@ -64,75 +62,69 @@ def _write_pgm(path, values: np.ndarray) -> None:
             fh.write(" ".join(str(int(x)) for x in row) + "\n")
 
 
-def _emit(outdir, tag, index, values, t, scenario):
-    write_frame(os.path.join(outdir, f"{tag}_{index:06d}.frame"), values, t)
-    if scenario.output_pgm and values.ndim == 2:
-        _write_pgm(os.path.join(outdir, f"{tag}_{index:06d}.pgm"), values)
-
-
 def run(scenario: Scenario, outdir: str) -> dict:
-    """Evolve a scenario and write the frame sequence plus a summary."""
-    spec = scenario.lattice
+    """Evolve a scenario and write the frame sequence plus a summary.
+
+    All modes share one loop over output intervals; a mode supplies only how
+    it advances one interval and which fields it emits."""
     psi0 = build_initial(scenario)
     V = build_potential(scenario)
-    p = scenario.step
-    mode = scenario.mode
-    every = scenario.output_every
-
-    frames = 0
-    wall = 0.0
-
-    def emit(index, density, t, state=None):
-        nonlocal frames
-        _emit(outdir, "density", index, density, t, scenario)
-        if scenario.output_types and state is not None:
-            for pid in state.particles():
-                for j in range(4):
-                    _emit(outdir, f"{pid}_type{j + 1}", index, state.fields[pid][j], t, scenario)
-        frames += 1
-
+    p, mode = scenario.step, scenario.mode
     if mode == "oracle":
-        psi = psi0
-        emit(0, psi.density(), 0.0)
-        t0 = _time.perf_counter()
-        k = 0
-        while k < scenario.steps:
-            # one factorisation per output interval
-            n = min(every, scenario.steps - k)
-            psi = reference_evolve(psi, V, n * p.dt, p.dt)
-            k += n
-            emit(k, psi.density(), k * p.dt)
-        wall = _time.perf_counter() - t0
-        norm = float(np.linalg.norm(psi.psi))
-        population = 0.0
-    else:
-        rng0 = step_rng(scenario.seed, 0)
-        deterministic = mode == "meanfield"
-        state = sample_from_wavefunction(
-            psi0.psi, spec, scenario.samples, rng0, deterministic=deterministic)
-        psi, _ = reconstruct_wavefunction(state, "p0")
-        emit(0, np.abs(psi) ** 2, 0.0, state)
-        t0 = _time.perf_counter()
-        for k in range(1, scenario.steps + 1):
-            if deterministic:
-                state = step_meanfield(state, V, p)
-            else:
-                state = step_stochastic(state, V, p, step_rng(scenario.seed, k))
-            if k % every == 0 or k == scenario.steps:
-                psi, _ = reconstruct_wavefunction(state, "p0")
-                emit(k, np.abs(psi) ** 2, k * p.dt, state)
-        wall = _time.perf_counter() - t0
-        _, norm = reconstruct_wavefunction(state, "p0")
-        population = state.population()
+        state = psi0
 
-    nsteps = max(1, scenario.steps)
+        def advance(psi, k, n):  # one factorisation per output interval
+            return reference_evolve(psi, V, n * p.dt, p.dt)
+
+        def fields(psi):
+            return {"density": psi.density()}
+    else:
+        deterministic = mode == "meanfield"
+        state = sample_from_wavefunction(psi0.psi, scenario.lattice, scenario.samples,
+                                         step_rng(scenario.seed, 0), deterministic=deterministic)
+
+        def advance(state, k, n):
+            for j in range(k + 1, k + n + 1):
+                state = (step_meanfield(state, V, p) if deterministic
+                         else step_stochastic(state, V, p, step_rng(scenario.seed, j)))
+            return state
+
+        def fields(state):
+            psi, _ = reconstruct_wavefunction(state, "p0")
+            out = {"density": np.abs(psi) ** 2}
+            if scenario.output_types:
+                out.update((f"{pid}_type{j + 1}", state.fields[pid][j])
+                           for pid in state.particles() for j in range(4))
+            return out
+
+    def emit(k):
+        for tag, values in fields(state).items():
+            path = os.path.join(outdir, f"{tag}_{k:06d}")
+            write_frame(path + ".frame", values, k * p.dt)
+            if scenario.output_pgm and values.ndim == 2:
+                _write_pgm(path + ".pgm", values)
+
+    emit(0)
+    k, frames = 0, 1
+    t0 = _time.perf_counter()
+    while k < scenario.steps:
+        n = min(scenario.output_every, scenario.steps - k)
+        state = advance(state, k, n)
+        k += n
+        emit(k)
+        frames += 1
+    wall = _time.perf_counter() - t0
+    if mode == "oracle":
+        norm, population = float(np.linalg.norm(state.psi)), 0.0
+    else:
+        norm, population = reconstruct_wavefunction(state, "p0")[1], state.population()
     return {
         "MODE": mode,
         "STEPS": scenario.steps,
         "FRAMES": frames,
         "FINAL_NORM": f"{norm:.9g}",
         "POPULATION": f"{population:.9g}",
-        "WALL_PER_STEP": f"{wall / nsteps:.6g}",
+        "WALL_PER_STEP": f"{wall / max(1, scenario.steps):.6g}",
     }
 
 
@@ -298,8 +290,7 @@ def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
 
 def compare(path_a, path_b) -> dict:
     fa, fb = read_frame(path_a), read_frame(path_b)
-    err = density_error(FieldGrid(LatticeSpec(fa.dims), fa.values),
-                        FieldGrid(LatticeSpec(fb.dims), fb.values))
+    err = density_error(fa.values, fb.values)
     return {"DENSITY_ERROR": f"{err:.9g}"}
 
 
@@ -326,7 +317,7 @@ def main(argv=None) -> int:
 
     def common(sp, mode_flag=True):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=".")
         if mode_flag:
             sp.add_argument("--mode", choices=("meanfield", "stochastic", "oracle"),
                             default=None)

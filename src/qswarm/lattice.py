@@ -255,16 +255,18 @@ def relax_to_green(
     The fixed point satisfies  c*Lap(F) = absorption*F - source  with
     c = (1-stay_prob)*h^2/(2d); with a point source, no bulk absorption and
     absorbing boundaries this is the lattice Green function of the Laplacian.
+    ``absorption`` must lie in [0, 2*stay_prob], where the sweep cannot grow
+    (Gershgorin's theorem).
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     spec = source.spec
     if absorption.spec.dims != spec.dims:
         raise DomainError("source and absorption lattices differ")
-    if not (np.all(np.isfinite(source.values)) and np.all(np.isfinite(absorption.values))):
-        raise DomainError("source and absorption must be finite")
-    if np.any(source.values < 0):
-        raise DomainError("source must be non-negative")
+    if not (source.values.min() >= 0 and source.values.max() < np.inf):  # NaN fails too
+        raise DomainError("source must be finite and non-negative")
+    if not (absorption.values.min() >= 0 and absorption.values.max() <= 2 * stay_prob):
+        raise DomainError(f"absorption must lie in [0, 2*stay_prob] = [0, {2 * stay_prob:g}]")
     if not source.values.any():
         return GreenResult(FieldGrid(spec), True, 0, 0.0)
 

@@ -1,8 +1,8 @@
 """Ground-truth machinery, independent of the swarm code paths.
 
 A conventional complex-valued Crank-Nicolson integrator for
-i dpsi/dt = -Lap psi + V psi (hbar = 1, unit kinetic coefficient), a
-discrete eigensolver for initial states, and density comparison metrics.
+i dpsi/dt = -Lap psi + V psi (hbar = 1, unit kinetic coefficient), one
+eigensolver for eigenstates and energy levels, and density comparison metrics.
 No stepping code is shared with the swarm integrators, so equivalence
 tests between the two are meaningful.
 """
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError
-from .lattice import Boundary, FieldGrid, LatticeSpec, PotentialField
+from .lattice import Boundary, LatticeSpec, PotentialField
 
 
 @dataclass
@@ -82,8 +82,8 @@ def reference_evolve(
     unitary for the discretized Hamiltonian and second-order in dt.
     Negative T runs the conjugate (time-reversed) evolution.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    if not (0 < dt < np.inf and np.isfinite(T)):
+        raise DomainError(f"dt must be positive and T finite, got dt={dt}, T={T}")
     spec = psi0.spec
     steps = int(round(abs(T) / dt))
     if steps == 0:
@@ -100,17 +100,23 @@ def reference_evolve(
     return ComplexField(spec, psi.reshape(spec.dims))
 
 
+def _lowest(H: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the Hermitian H, ascending: dense up to 400 cells,
+    where ARPACK can miss a copy of a degenerate level (free periodic lattice);
+    ARPACK beyond, at machine precision, as a looser tolerance can stop short."""
+    if H.shape[0] <= 400:
+        w, v = np.linalg.eigh(H.toarray())
+        return w[:k], v[:, :k]
+    w, v = spla.eigsh(H, k=k, which="SA")
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
 def ground_state(spec: LatticeSpec, V: PotentialField) -> tuple[float, ComplexField]:
     """Lowest eigenpair of -Lap + V; residual below 1e-8."""
     H = hamiltonian(spec, V)
-    n = spec.ncells
-    if n <= 400:
-        w, v = np.linalg.eigh(H.toarray())
-        E, vec = float(w[0]), v[:, 0]
-    else:
-        w, v = spla.eigsh(H, k=1, which="SA", tol=1e-12, maxiter=20000)
-        E, vec = float(w[0]), v[:, 0]
-    vec = vec / np.linalg.norm(vec)
+    w, v = _lowest(H, 1)
+    E, vec = float(w[0]), v[:, 0] / np.linalg.norm(v[:, 0])
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     resid = np.linalg.norm(H @ vec - E * vec)
@@ -120,23 +126,15 @@ def ground_state(spec: LatticeSpec, V: PotentialField) -> tuple[float, ComplexFi
 
 
 def energy_levels(spec: LatticeSpec, V: PotentialField, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the discrete Hamiltonian."""
-    H = hamiltonian(spec, V)
-    if spec.ncells <= 400:
-        return np.sort(np.linalg.eigvalsh(H.toarray()))[:k]
-    w = spla.eigsh(H, k=k, which="SA", return_eigenvectors=False, tol=1e-10)
-    return np.sort(w)
+    """Lowest k eigenvalues of the discrete Hamiltonian, 1 <= k < ncells."""
+    if not 1 <= k < spec.ncells:
+        raise DomainError(f"need 1 <= k < {spec.ncells} levels, got {k}")
+    return _lowest(hamiltonian(spec, V), k)[0]
 
 
 def _as_density(x) -> np.ndarray:
-    if isinstance(x, ComplexField):
-        return x.density()
-    if isinstance(x, FieldGrid):
-        return np.asarray(x.values, dtype=float)
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        return np.abs(x) ** 2
-    return x.astype(float)
+    x = x.psi if isinstance(x, ComplexField) else np.asarray(x)
+    return np.abs(x) ** 2 if np.iscomplexobj(x) else x.astype(float)
 
 
 def density_error(a, b) -> float:
@@ -148,6 +146,8 @@ def density_error(a, b) -> float:
     da, db = _as_density(a), _as_density(b)
     if da.shape != db.shape:
         raise DomainError(f"shape mismatch: {da.shape} vs {db.shape}")
+    if not (np.isfinite(da).all() and np.isfinite(db).all()):
+        raise DomainError("densities must be finite")
     sa, sb = da.sum(), db.sum()
     if sa <= 0 or sb <= 0:
         raise DomainError("densities must have positive mass")

@@ -64,8 +64,8 @@ class SwarmState:
             raise DomainError(
                 f"counts shape {counts.shape} does not match (4, {self.spec.dims})"
             )
-        if np.any(counts < 0):
-            raise DomainError("count fields must be non-negative")
+        if not (counts.min() >= 0 and counts.max() < np.inf):  # NaN fails too
+            raise DomainError("count fields must be finite and non-negative")
         if not scale > 0:
             raise DomainError("scale must be positive")
         self.fields[pid] = counts
@@ -164,8 +164,8 @@ def resample(s: SwarmState, A: float, rng) -> SwarmState:
     budget; the expected reconstructed wave function is unchanged and the
     scale is updated consistently.
     """
-    if not A > 0:
-        raise DomainError("memory constant A must be positive")
+    if not 0 < A < np.inf:
+        raise DomainError(f"memory constant A must be positive and finite, got {A}")
     out = cancel_pairs(s)
     for pid in out.particles():
         f = out.fields[pid]

@@ -186,28 +186,44 @@ def test_born_test_draws_in_chunks(tmp_path, capsys, monkeypatch):
     assert (chunked / "meas.log").read_text() == (whole / "meas.log").read_text()
 
 
-def test_run_oracle_frames_match_per_step_loop(tmp_path, capsys):
-    """Oracle mode evolves one output interval per call; its frames equal a
-    reference_evolve loop of single steps, bit for bit."""
-    from qswarm import build_initial, build_potential, load_scenario_file, reference_evolve
+@pytest.mark.parametrize("mode", ["oracle", "meanfield", "stochastic"])
+def test_run_frames_match_per_step_loop(tmp_path, capsys, mode):
+    """Every mode runs one output interval at a time; its frames equal a
+    library loop of single steps, bit for bit.  The oracle evolves each
+    interval with one reference_evolve call."""
+    from qswarm import (build_initial, build_potential, load_scenario_file,
+                        reconstruct_wavefunction, reference_evolve, step_meanfield,
+                        step_stochastic)
+    from qswarm.cli import step_rng
 
     cfg = write_cfg(tmp_path, "lattice.dims = 8 6\nlattice.boundary = reflecting\n"
                               "initial.kind = gaussian\ninitial.width = 1.5\n"
                               "initial.momentum = 0.5 0\npotential.kind = harmonic\n"
-                              "potential.strength = 0.1\nstep.dt = 0.05\nrun.mode = oracle\n"
+                              "potential.strength = 0.1\nstep.dt = 0.05\nrun.samples = 5000\n"
                               "run.steps = 7\noutput.every = 3\n")
-    code, report, _ = run_cli(capsys, "run", cfg, "--out", str(tmp_path))
+    code, report, _ = run_cli(capsys, "run", cfg, "--mode", mode, "--out", str(tmp_path))
     assert code == 0
     assert report["FRAMES"] == "4"  # steps 0, 3, 6, 7
     sc = load_scenario_file(cfg)
-    psi, V, dt = build_initial(sc), build_potential(sc), sc.step.dt
+    psi, V, p = build_initial(sc), build_potential(sc), sc.step
+    state = sample_from_wavefunction(psi.psi, sc.lattice, sc.samples, step_rng(sc.seed, 0),
+                                     deterministic=mode == "meanfield")
     for k in range(8):
-        if k:
-            psi = reference_evolve(psi, V, dt, dt)
+        if k and mode == "oracle":
+            psi = reference_evolve(psi, V, p.dt, p.dt)
+        elif k and mode == "meanfield":
+            state = step_meanfield(state, V, p)
+        elif k:
+            state = step_stochastic(state, V, p, step_rng(sc.seed, k))
         if k in (0, 3, 6, 7):
+            density = (psi.density() if mode == "oracle"
+                       else np.abs(reconstruct_wavefunction(state, "p0")[0]) ** 2)
             fr = read_frame(tmp_path / f"density_{k:06d}.frame")
-            assert np.array_equal(fr.values, psi.density()) and fr.time == k * dt
-    assert float(report["FINAL_NORM"]) == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(fr.values, density) and fr.time == k * p.dt
+    if mode == "oracle":
+        assert float(report["FINAL_NORM"]) == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert report["POPULATION"] == f"{state.population():.9g}"
 
 
 def test_born_test_needs_draws(tmp_path, capsys):
@@ -318,6 +334,13 @@ def test_compare_identical_and_different(tmp_path, capsys):
     assert code == 0 and float(report["DENSITY_ERROR"]) == 0.0
     code, report, _ = run_cli(capsys, "compare", str(a), str(b))
     assert code == 0 and float(report["DENSITY_ERROR"]) > 0.1
+    # any two frames of one shape compare, one with a 1-cell axis too
+    c = tmp_path / "c.frame"
+    write_frame(c, np.array([[1.0], [2.0], [3.0]]), 0.0)
+    code, report, _ = run_cli(capsys, "compare", str(c), str(c))
+    assert code == 0 and float(report["DENSITY_ERROR"]) == 0.0
+    code, _, err = run_cli(capsys, "compare", str(a), str(c))
+    assert code == 2 and "shape mismatch" in err
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):

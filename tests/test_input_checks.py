@@ -10,13 +10,17 @@ from qswarm import (
     FieldGrid,
     HierarchicalState,
     LatticeSpec,
+    PotentialField,
     SwarmState,
     cell_index,
     density_error,
     depth_class,
+    energy_levels,
     fock_diagonal_density,
     free_gaussian_1d,
+    reference_evolve,
     relax_to_green,
+    resample,
     sample_from_wavefunction,
     symmetrized_amplitude,
 )
@@ -30,6 +34,10 @@ def add(counts, scale=1.0):
     SwarmState(LINE).add_particle("p0", counts, scale)
 
 
+def evolve(T, dt):
+    reference_evolve(ComplexField(LINE, UNIT), PotentialField.zero(LINE), T, dt)
+
+
 CASES = {
     "field-grid-shape": (lambda: FieldGrid(LINE, np.zeros(7)), "does not match lattice"),
     "cell-index-arity": (lambda: cell_index((1, 2), LINE), "expected 1 coordinates"),
@@ -39,6 +47,8 @@ CASES = {
     ),
     "add-particle-shape": (lambda: add(np.zeros((4, 7))), "counts shape"),
     "add-particle-negative": (lambda: add(-np.ones((4, 8))), "non-negative"),
+    "add-particle-nan": (lambda: add(np.full((4, 8), np.nan)), "finite"),
+    "add-particle-inf": (lambda: add(np.full((4, 8), np.inf)), "finite"),
     "add-particle-scale": (lambda: add(np.ones((4, 8)), scale=0.0), "scale must be positive"),
     "sample-psi-shape": (
         lambda: sample_from_wavefunction(UNIT[:7], LINE, 10, np.random.default_rng(0)),
@@ -49,9 +59,20 @@ CASES = {
         "K must be >= 1",
     ),
     "complex-field-shape": (lambda: ComplexField(SQUARE, UNIT), "psi shape"),
+    "resample-infinite-budget": (
+        lambda: resample(sample_from_wavefunction(UNIT, LINE, 10, np.random.default_rng(0)),
+                         np.inf, np.random.default_rng(1)),
+        "positive and finite",
+    ),
+    "evolve-nan-dt": (lambda: evolve(1.0, np.nan), "dt must be positive"),
+    "evolve-infinite-duration": (lambda: evolve(np.inf, 0.1), "T finite"),
+    "levels-k-zero": (lambda: energy_levels(LINE, PotentialField.zero(LINE), 0), "1 <= k < 8"),
+    "levels-k-all": (lambda: energy_levels(LINE, PotentialField.zero(LINE), 8), "1 <= k < 8"),
     "density-error-zero-mass": (
         lambda: density_error(np.zeros(8), UNIT), "positive mass"
     ),
+    "density-error-nan": (lambda: density_error([np.nan, 1.0], [1.0, 1.0]), "finite"),
+    "density-error-inf": (lambda: density_error([1.0, 1.0], [np.inf, 1.0]), "finite"),
     "free-gaussian-2d": (lambda: free_gaussian_1d(SQUARE, 0.0, 1.0, 0.0), "1D lattice"),
     "hierarchical-rank": (
         lambda: HierarchicalState([np.array([1.0, 0.0]), np.array([0.0, 1.0])]),

@@ -310,3 +310,19 @@ def test_green_rejects_non_finite_input():
         relax_to_green(FieldGrid(spec, bad_src), FieldGrid(spec), 0.5, 10)
     with pytest.raises(DomainError):
         relax_to_green(FieldGrid(spec, src), FieldGrid(spec, bad_absorb), 0.5, 10)
+
+
+def test_green_rejects_absorption_where_the_sweep_grows():
+    """Outside 0 <= absorption <= 2*stay_prob the sweep overflowed; at the
+    range's ends it still relaxes to a finite field."""
+    spec = LatticeSpec((9, 9), boundary=Boundary.ABSORBING)
+    src = spec.zeros()
+    src[4, 4] = 1.0
+    for a in (-0.5, 1.5, 3.0):
+        with pytest.raises(DomainError, match="absorption"):
+            relax_to_green(FieldGrid(spec, src), FieldGrid(spec, np.full(spec.dims, a)),
+                           0.5, 2000)
+    for a in (0.0, 1.0):
+        res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec, np.full(spec.dims, a)),
+                             0.5, 2000, tol=1e-9)
+        assert res.converged and np.isfinite(res.field.values).all()

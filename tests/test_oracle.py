@@ -132,6 +132,17 @@ def test_energy_levels_sparse_path_matches_dense():
     assert np.abs(energy_levels(spec, V, 6) - dense).max() <= 1e-10
 
 
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_free_ground_state_past_400_cells(boundary):
+    """Past 400 cells the eigensolver is ARPACK at machine precision: at a
+    looser tolerance it could settle on an excited level of the free lattice."""
+    spec = LatticeSpec((21, 21), boundary=boundary)
+    V = PotentialField.zero(spec)
+    lowest = np.linalg.eigvalsh(hamiltonian(spec, V).toarray())[0]
+    assert ground_state(spec, V)[0] == pytest.approx(lowest, abs=1e-9)
+    assert energy_levels(spec, V, 1)[0] == pytest.approx(lowest, abs=1e-9)
+
+
 def test_oracle_imports_no_stepping_code():
     """The reference shares no code with the swarm integrators."""
     import qswarm.oracle
