@@ -249,6 +249,8 @@ def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
         raise ConfigError("bench needs a non-empty particle list")
     if min(particle_counts) < 1:
         raise ConfigError(f"bench particle counts must be >= 1, got {particle_counts}")
+    if len(set(particle_counts)) != len(particle_counts):
+        raise ConfigError(f"bench particle counts must be distinct, got {particle_counts}")
     if steps < 1:
         raise ConfigError(f"bench needs steps >= 1, got {steps}")
     spec = scenario.lattice

@@ -119,9 +119,17 @@ def _moved(state: SwarmState, pid: str, offset) -> tuple:
     return _shift(state.fields[pid], offset, spec), cohorts
 
 
-def _branch_offsets(branch: Branch, nconst: int, ndim: int):
+def _branch_offsets(branch: Branch, ndim: int):
+    """The offsets of a composite branch's two constituents."""
+    if len(branch.labels) != 2:
+        raise DomainError(f"a composite branch needs 2 labels, got {branch.labels}")
     if branch.offsets is None:
-        return tuple((0,) * ndim for _ in range(nconst))
+        return ((0,) * ndim,) * 2
+    if len(branch.offsets) != 2 or any(
+            np.shape(o) != (ndim,) or np.asarray(o).dtype.kind not in "iu"
+            for o in branch.offsets):
+        raise DomainError(
+            f"a composite branch needs 2 offsets of {ndim} integers, got {branch.offsets}")
     return branch.offsets
 
 
@@ -159,7 +167,8 @@ def glue(
     lattice the translated photons must stay on it as the field must: a
     photon can be up to ``n_age`` hops beyond the field, so a glue whose
     field fits can still raise :class:`DomainError`, leaving the state
-    untouched.
+    untouched.  So does a branch without exactly two labels, or with offsets
+    that are not two of ``spec.ndim`` integers each.
     """
     spec = state.spec
     cid = cid or f"({a}+{b})"
@@ -172,7 +181,7 @@ def glue(
 
     candidates = []
     for br in internal.branches:
-        oa, ob = _branch_offsets(br, 2, spec.ndim)
+        oa, ob = _branch_offsets(br, spec.ndim)
         candidates.append(_shift(psi_a, tuple(-o for o in oa), spec))
         candidates.append(_shift(psi_b, tuple(-o for o in ob), spec))
     ref = candidates[0]
@@ -184,7 +193,7 @@ def glue(
                 "internal state"
             )
 
-    oa, _ = _branch_offsets(internal.branches[0], 2, spec.ndim)
+    oa, _ = _branch_offsets(internal.branches[0], spec.ndim)
     counts, cohorts = _moved(state, a, tuple(-o for o in oa))
     scale = state.scale[a]
     record = Composite((a, b), internal, (state.internal.get(a), state.internal.get(b)))
@@ -213,7 +222,7 @@ def decay(state: SwarmState, cid: str, rng) -> tuple[str, str]:
         raise DomainError(f"constituent ids {taken} name existing particles")
     weights = np.abs(rec.internal.amplitudes()) ** 2
     branch = rec.internal.branches[rng.choice(weights.size, p=weights / weights.sum())]
-    offsets = _branch_offsets(branch, 2, state.spec.ndim)
+    offsets = _branch_offsets(branch, state.spec.ndim)
     moved = [_moved(state, cid, off) for off in offsets]
     scale = state.scale[cid]
     state.remove_particle(cid)

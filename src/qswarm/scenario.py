@@ -76,158 +76,139 @@ class Scenario:
     output_pgm: bool = False
 
 
-class _Reader:
-    """Typed access to the flat key dict, tracking unknown keys."""
+REQUIRED = object()  # the default of a key every scenario must set
 
-    def __init__(self, cfg: dict[str, str], name: str):
-        self.cfg = cfg
-        self.name = name
-        self.used: set[str] = set()
 
-    def get(self, key, default=None, required=False):
-        if key in self.cfg:
-            self.used.add(key)
-            return self.cfg[key]
-        if required:
-            raise ConfigError(f"{self.name}: missing required key {key!r}")
-        return default
-
-    def get_float(self, key, default=None, required=False):
-        v = self.get(key, default, required)
-        if v is None or isinstance(v, (int, float)):
-            return v
+def _number(minimum=-math.inf, strict=False, whole=False):
+    """The parser of a finite number of at least ``minimum`` (``strict``:
+    above it); a ``whole`` number parses to an int."""
+    def parse(v: str):
         try:
             x = float(v)
         except ValueError:
-            raise ConfigError(f"{self.name}: key {key!r}: expected a number, got {v!r}")
+            raise ValueError(f"expected a number, got {v!r}") from None
         if not math.isfinite(x):
-            raise ConfigError(f"{self.name}: key {key!r}: expected a finite number, got {v!r}")
-        return x
+            raise ValueError(f"expected a finite number, got {v!r}")
+        if whole and x != int(x):
+            raise ValueError(f"expected an integer, got {x!r}")
+        if x < minimum or strict and x == minimum:
+            raise ValueError(f"must be {'>' if strict else '>='} {minimum}, got {x!r}")
+        return int(x) if whole else x
+    return parse
 
-    def get_int(self, key, default=None, required=False, minimum=None):
-        v = self.get_float(key, default, required)
-        if v is None:
-            return None
-        if v != int(v):
-            raise ConfigError(f"{self.name}: key {key!r}: expected an integer, got {v!r}")
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{self.name}: key {key!r}: must be >= {minimum}, got {v!r}")
-        return int(v)
 
-    def get_bool(self, key, default=False):
-        v = self.get(key, None)
-        if v is None:
-            return default
-        if v.lower() in ("true", "yes", "1", "on"):
-            return True
-        if v.lower() in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.name}: key {key!r}: expected a boolean, got {v!r}")
+def _numbers(v: str) -> tuple[float, ...]:
+    try:
+        xs = tuple(float(x) for x in v.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"expected numbers, got {v!r}") from None
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"expected finite numbers, got {v!r}")
+    return xs
 
-    def get_floats(self, key, default=None):
-        v = self.get(key, None)
-        if v is None:
-            return default
-        try:
-            xs = tuple(float(x) for x in v.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"{self.name}: key {key!r}: expected numbers, got {v!r}")
-        if not all(map(math.isfinite, xs)):
-            raise ConfigError(f"{self.name}: key {key!r}: expected finite numbers, got {v!r}")
-        return xs
 
-    def get_choice(self, key, choices, default=None, required=False):
-        v = self.get(key, default, required)
-        if v is not None and v not in choices:
-            raise ConfigError(
-                f"{self.name}: key {key!r}: expected one of {choices}, got {v!r}"
-            )
+def _dims(v: str) -> tuple[int, ...]:
+    dims = _numbers(v)
+    if any(d != int(d) for d in dims):
+        raise ValueError(f"expected integers, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
+def _boolean(v: str) -> bool:
+    if v.lower() in ("true", "yes", "1", "on"):
+        return True
+    if v.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {v!r}")
+
+
+def _choice(choices):
+    def parse(v: str) -> str:
+        if v not in choices:
+            raise ValueError(f"expected one of {choices}, got {v!r}")
         return v
+    return parse
 
-    def check_unknown(self):
-        unknown = set(self.cfg) - self.used
-        if unknown:
-            raise ConfigError(
-                f"{self.name}: unknown key(s): {', '.join(sorted(unknown))}"
-            )
+
+# Every key a scenario may set: its parser and its default.  A key's
+# section and field name the argument it fills (``step.dt`` is
+# ``StepParams.dt``, ``potential.charge`` is ``potential_params["charge"]``).
+# A centre or momentum of None is 0 on every axis of the lattice.
+KEYS = {
+    "lattice.dims": (_dims, REQUIRED),
+    "lattice.h": (_number(), 1.0),
+    "lattice.boundary": (str, "periodic"),
+    "initial.kind": (_choice(INITIAL_KINDS), REQUIRED),
+    "initial.center": (_numbers, None),
+    "initial.width": (_number(0, strict=True), 4.0),
+    "initial.momentum": (_numbers, None),
+    "initial.file": (str, None),
+    "potential.kind": (_choice(POTENTIAL_KINDS), "zero"),
+    "potential.strength": (_number(), 1.0),
+    "potential.width": (_number(), None),
+    "potential.v0": (_number(), 0.0),
+    "potential.charge": (_number(), 1.0),
+    "potential.stay_prob": (_number(), 0.5),
+    "potential.relax_steps": (_number(whole=True), 20000),
+    "potential.file": (str, None),
+    "step.dt": (_number(), REQUIRED),
+    "step.dt_phot": (_number(), None),
+    "step.A": (_number(), None),
+    "step.max_population": (_number(), None),
+    "run.mode": (_choice(MODES), "meanfield"),
+    "run.duration": (_number(0), None),
+    "run.steps": (_number(0, whole=True), None),
+    "run.seed": (_number(0, whole=True), 0),
+    "run.samples": (_number(1, whole=True), 100000),
+    "output.every": (_number(1, whole=True), 1),
+    "output.types": (_boolean, False),
+    "output.pgm": (_boolean, False),
+}
+_REQUIRED_KEYS = tuple(key for key, (_, default) in KEYS.items() if default is REQUIRED)
+# the defaults by section, {section: {field: default}}, copied by every load
+_DEFAULTS: dict[str, dict] = {}
+for _key, (_, _default) in KEYS.items():
+    _section, _, _field = _key.partition(".")
+    _DEFAULTS.setdefault(_section, {})[_field] = _default
 
 
 def load_scenario(text: str, name: str = "<config>") -> Scenario:
     cfg = parse_config(text, name)
-    r = _Reader(cfg, name)
+    unknown = [key for key in cfg if key not in KEYS]
+    if unknown:
+        raise ConfigError(f"{name}: unknown key(s): {', '.join(sorted(unknown))}")
+    for key in _REQUIRED_KEYS:
+        if key not in cfg:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    sections = {section: dict(fields) for section, fields in _DEFAULTS.items()}
+    for key, value in cfg.items():
+        section, _, field = key.partition(".")
+        try:
+            sections[section][field] = KEYS[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: key {key!r}: {exc}") from None
+    initial, potential = sections["initial"], sections["potential"]
+    run, output = sections["run"], sections["output"]
 
-    dims = r.get_floats("lattice.dims")
-    if dims is None:
-        raise ConfigError(f"{name}: missing required key 'lattice.dims'")
-    if any(d != int(d) for d in dims):
-        raise ConfigError(f"{name}: key 'lattice.dims': expected integers, got {dims}")
-    spec = LatticeSpec(
-        tuple(int(d) for d in dims),
-        h=r.get_float("lattice.h", 1.0),
-        boundary=r.get("lattice.boundary", "periodic"),
-    )
-
-    initial_kind = r.get_choice("initial.kind", INITIAL_KINDS, required=True)
-    initial_params = {
-        "center": r.get_floats("initial.center", (0.0,) * spec.ndim),
-        "width": r.get_float("initial.width", 4.0),
-        "momentum": r.get_floats("initial.momentum", (0.0,) * spec.ndim),
-        "file": r.get("initial.file"),
-    }
-    if initial_params["width"] <= 0:
-        raise ConfigError(
-            f"{name}: key 'initial.width': must be > 0, got {initial_params['width']!r}"
-        )
+    spec = LatticeSpec(**sections["lattice"])
     for key in ("center", "momentum"):
-        if len(initial_params[key]) != spec.ndim:
+        if initial[key] is None:
+            initial[key] = (0.0,) * spec.ndim
+        elif len(initial[key]) != spec.ndim:
             raise ConfigError(
                 f"{name}: key 'initial.{key}': expected {spec.ndim} coordinate(s), "
-                f"got {initial_params[key]}"
+                f"got {initial[key]}"
             )
-
-    potential_kind = r.get_choice("potential.kind", POTENTIAL_KINDS, default="zero")
-    potential_params = {
-        "strength": r.get_float("potential.strength", 1.0),
-        "width": r.get_float("potential.width"),
-        "v0": r.get_float("potential.v0", 0.0),
-        "charge": r.get_float("potential.charge", 1.0),
-        "stay_prob": r.get_float("potential.stay_prob", 0.5),
-        "relax_steps": r.get_int("potential.relax_steps", 20000),
-        "file": r.get("potential.file"),
-    }
-
-    step = StepParams(
-        dt=r.get_float("step.dt", required=True),
-        dt_phot=r.get_float("step.dt_phot"),
-        A=r.get_float("step.A"),
-        max_population=r.get_float("step.max_population"),
-    )
-
-    mode = r.get_choice("run.mode", MODES, default="meanfield")
-    duration = r.get_float("run.duration")
-    if duration is not None and duration < 0:
-        raise ConfigError(f"{name}: key 'run.duration': must be >= 0, got {duration!r}")
-    steps = r.get_int("run.steps", minimum=0)
+    step = StepParams(**sections["step"])
+    steps = run["steps"]
     if steps is None:
-        steps = 0 if duration is None else int(round(duration / step.dt))
-
-    scenario = Scenario(
-        lattice=spec,
-        initial_kind=initial_kind,
-        initial_params=initial_params,
-        potential_kind=potential_kind,
-        potential_params=potential_params,
-        step=step,
-        mode=mode,
-        seed=r.get_int("run.seed", 0, minimum=0),
-        steps=steps,
-        samples=r.get_int("run.samples", 100000, minimum=1),
-        output_every=r.get_int("output.every", 1, minimum=1),
-        output_types=r.get_bool("output.types", False),
-        output_pgm=r.get_bool("output.pgm", False),
+        steps = 0 if run["duration"] is None else int(round(run["duration"] / step.dt))
+    return Scenario(
+        lattice=spec, initial_kind=initial.pop("kind"), initial_params=initial,
+        potential_kind=potential.pop("kind"), potential_params=potential, step=step,
+        mode=run["mode"], seed=run["seed"], steps=steps, samples=run["samples"],
+        output_every=output["every"], output_types=output["types"], output_pgm=output["pgm"],
     )
-    r.check_unknown()
-    return scenario
 
 
 def load_scenario_file(path) -> Scenario:

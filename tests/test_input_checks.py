@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from qswarm import (
+    Branch,
     ComplexField,
     DomainError,
     FieldGrid,
     HierarchicalState,
+    InternalState,
     LatticeSpec,
     PotentialField,
     SwarmState,
@@ -18,6 +20,7 @@ from qswarm import (
     energy_levels,
     fock_diagonal_density,
     free_gaussian_1d,
+    glue,
     reference_evolve,
     relax_to_green,
     resample,
@@ -32,6 +35,16 @@ UNIT = np.eye(8, dtype=complex)[3]
 
 def add(counts, scale=1.0):
     SwarmState(LINE).add_particle("p0", counts, scale)
+
+
+def glue_branch(labels, offsets):
+    """Glue a delta at cell 4 to one at cell 8 of a 16-cell line through one
+    branch with these labels and offsets."""
+    spec = LatticeSpec((16,))
+    state = SwarmState(spec)
+    for pid, cell in (("a", 4), ("b", 8)):
+        state.add_particle(pid, np.eye(16)[cell] * [[1.0], [0], [0], [0]], 1.0)
+    glue(state, "a", "b", InternalState((Branch(1.0, labels, offsets),)))
 
 
 def evolve(T, dt):
@@ -87,6 +100,16 @@ CASES = {
     "statistics-name": (lambda: symmetrized_amplitude(np.eye(2), "anyon"), "statistics"),
     "matrix-not-square": (
         lambda: symmetrized_amplitude(np.ones((2, 3)), "fermion"), "square"
+    ),
+    "glue-three-labels": (
+        lambda: glue_branch((0, 1, 2), ((0,), (4,), (0,))), "needs 2 labels"
+    ),
+    "glue-one-offset": (lambda: glue_branch((0, 1), ((0,),)), "needs 2 offsets of 1 integers"),
+    "glue-offset-past-axes": (
+        lambda: glue_branch((0, 1), ((0, 1), (4, 0))), "needs 2 offsets of 1 integers"
+    ),
+    "glue-offset-extra-axis": (
+        lambda: glue_branch((0, 1), ((0, 0), (4, 0))), "needs 2 offsets of 1 integers"
     ),
     "fock-vanishes": (
         lambda: fock_diagonal_density([UNIT, UNIT], "fermion"), "vanishes identically"

@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from qswarm import load_scenario
+from qswarm import load_scenario, scenario
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -18,6 +18,12 @@ def test_readme_config_example_loads():
     assert sc.lattice.dims == (256,)
     assert sc.initial_kind == "gaussian" and sc.mode == "meanfield"
     assert sc.steps == 200 and sc.output_every == 10
+
+
+def test_readme_documents_every_key():
+    missing = [key for key in scenario.KEYS
+               if not re.search(rf"\b{re.escape(key)}\b", README)]
+    assert not missing
 
 
 def test_readme_library_example_runs(capsys):
