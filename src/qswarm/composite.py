@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisjointnessError, DomainError, InterferenceConditionError
-from .lattice import Boundary, LatticeSpec, _add_inflow
+from .lattice import Boundary, LatticeSpec
 from .measure import AmplitudeQuantum, DiscreteState, born_measure
 from .swarm import PhotonCohort, SwarmState, reconstruct_wavefunction, sample_from_wavefunction
 
@@ -88,25 +88,20 @@ def _composite(state: SwarmState, cid: str) -> Composite:
 
 def _shift(f: np.ndarray, offset, spec: LatticeSpec) -> np.ndarray:
     """A translated copy of a field by an integer offset along its trailing
-    (lattice) axes; off a periodic lattice, support that would leave the
-    lattice is an error."""
+    (lattice) axes: one ``np.roll``.  Off a periodic lattice the planes that
+    wrapped round (the whole axis, if the offset spans it) are zeroed, and
+    support above 1e-12 in them is an error."""
     off = tuple(int(o) for o in offset)
-    periodic = spec.boundary is Boundary.PERIODIC
     lead = f.ndim - spec.ndim
-    out = f
-    for axis, o in enumerate(off, start=lead):
-        if o == 0:
-            continue
-        if not periodic:
-            # the planes a shift by o moves off the lattice (all, if |o| >= n)
-            leave = [slice(None)] * out.ndim
-            leave[axis] = slice(max(out.shape[axis] - o, 0), None) if o > 0 else slice(0, -o)
-            if np.max(np.abs(out[tuple(leave)])) > 1e-12:
+    out = np.roll(f, off, axis=tuple(range(lead, f.ndim)))
+    if spec.boundary is not Boundary.PERIODIC:
+        for axis, o in enumerate(off, start=lead):
+            # a view of the planes that wrapped round (all of them, if |o| >= n)
+            wrapped = out.swapaxes(0, axis)[slice(0, o) if o >= 0 else slice(o, None)]
+            if o and np.max(np.abs(wrapped)) > 1e-12:
                 raise DomainError(f"shift by {off} pushes support off the lattice")
-        moved = np.zeros(out.shape, out.dtype)
-        _add_inflow(moved, out, axis, o, spec.boundary if periodic else Boundary.ABSORBING)
-        out = moved
-    return out.copy() if out is f else out
+            wrapped[...] = 0
+    return out
 
 
 def _moved(state: SwarmState, pid: str, offset) -> tuple:

@@ -130,6 +130,7 @@ def meanfield_update(
     re (staggered update).  The result is split back into four
     non-negative counts, at most one of each (+, -) pair non-zero per cell.
     """
+    V.check_lattice(spec)
     check_meanfield_stability(spec, V, p)
     dt, v = p.dt, V.grid.values
 
@@ -198,6 +199,7 @@ def step_stochastic(
     MemoryBudgetError before it reaches a draw or the returned state.
     """
     spec = s.spec
+    V.check_lattice(spec)
     emit_rate = calibrated_emission_rate(spec, p)
     out = s.copy()
     vvals = V.grid.values

@@ -10,9 +10,9 @@ conventions are supported:
 * ``reflecting`` - outflowing mass bounces back, zero-gradient stencils,
 * ``absorbing``  - outflowing mass is lost, zero-value (Dirichlet) stencils.
 
-:func:`_add_inflow` is the one place that implements these rules; diffusion,
-the Laplacian, the stochastic photon hop and composite translation all
-accumulate shifted values through it, in place.
+:func:`_add_inflow`, the inflow from one neighbor, is the one place that
+implements these rules; diffusion, the Laplacian and the stochastic photon
+hop all accumulate their one-cell moves through it, in place.
 """
 
 from __future__ import annotations
@@ -113,14 +113,26 @@ class PotentialField:
     def zero(cls, spec: LatticeSpec) -> "PotentialField":
         return cls(FieldGrid(spec))
 
+    def check_lattice(self, spec: LatticeSpec) -> None:
+        """Raise DomainError unless the potential lives on ``spec``'s cells."""
+        if self.grid.values.shape != spec.dims:
+            raise DomainError(
+                f"potential shape {self.grid.values.shape} does not match lattice {spec.dims}"
+            )
+
 
 def cell_index(position, spec: LatticeSpec) -> int:
-    """Row-major linear index of an integer coordinate tuple.
+    """Row-major linear index of a tuple of whole-number coordinates.
 
     Under periodic boundaries coordinates wrap; otherwise out-of-range
-    coordinates are a domain error.
+    coordinates are a domain error, and so are fractional, non-finite and
+    int64-overflowing ones.
     """
     try:
+        # an integer array is whole; float(c).is_integer() is False for nan, inf
+        raw = np.asarray(position)
+        if raw.dtype.kind not in "iu" and not all(float(c).is_integer() for c in raw.flat):
+            raise DomainError(f"coordinates {position!r} must be whole numbers")
         pos = np.asarray(position, dtype=int)
     except OverflowError:
         raise DomainError(f"coordinates {position!r} out of integer range") from None
@@ -141,38 +153,30 @@ def cell_coords(index: int, spec: LatticeSpec) -> tuple[int, ...]:
 
 def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary: Boundary) -> None:
     """Add to ``total`` the mass arriving in each cell from its neighbor at
-    ``-step`` along ``axis``.
+    ``-step`` along ``axis``, one cell away (``step`` is +1 or -1).
 
     Mass that would leave the lattice is wrapped (periodic), returned to the
-    cell it left (reflecting, at most half an axis per shift) or dropped
-    (absorbing).  The shift is one in-place add over the flattened arrays;
-    then the two edge planes, where that add crosses a row, are rewritten.
+    cell it left (reflecting) or dropped (absorbing).  The shift is one
+    in-place add over the flattened arrays; then the two edge planes, where
+    that add crosses a row, are rewritten.
     """
     assert total.flags.c_contiguous, "an in-place shift needs a C-contiguous total"
+    assert step in (1, -1), "an inflow comes from one neighbor"
     v = np.ascontiguousarray(v)
     n = v.shape[axis]
-    if boundary is Boundary.PERIODIC:
-        step = int(np.fmod(step, n))  # whole turns move nothing
-    elif boundary is Boundary.REFLECTING:
-        assert 2 * abs(step) <= n, "a reflecting shift moves at most half an axis"
-    elif abs(step) >= n:
-        return  # every cell's mass leaves the lattice
-    if step == 0:
-        total += v
-        return
-    s, fwd = abs(step), step > 0
 
-    def slab(lo):
+    def plane(i):
         idx = [slice(None)] * v.ndim
-        idx[axis] = slice(lo, lo + s)
+        idx[axis] = i
         return tuple(idx)
 
-    recv, leave = (slab(0), slab(n - s)) if fwd else (slab(n - s), slab(0))
+    fwd = step > 0
+    recv, leave = (plane(0), plane(n - 1)) if fwd else (plane(n - 1), plane(0))
     saved = total[recv].copy()
     if boundary is Boundary.REFLECTING:
         # one addend: what arrives from behind plus what bounces back
-        bounced = total[leave] + (v[slab(n - 2 * s if fwd else s)] + v[leave])
-    k = s * (v.strides[axis] // v.itemsize)
+        bounced = total[leave] + (v[plane(n - 2 if fwd else 1)] + v[leave])
+    k = v.strides[axis] // v.itemsize
     flat, vflat = total.reshape(-1), v.reshape(-1)
     dst, src = (flat[k:], vflat[:-k]) if fwd else (flat[:-k], vflat[k:])
     dst += src

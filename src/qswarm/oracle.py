@@ -70,7 +70,8 @@ def laplacian_matrix(spec: LatticeSpec) -> sp.csr_matrix:
 
 
 def hamiltonian(spec: LatticeSpec, V: PotentialField) -> sp.spmatrix:
-    """H = -Lap + diag(V)."""
+    """H = -Lap + diag(V); V must live on ``spec``'s cells."""
+    V.check_lattice(spec)
     return -laplacian_matrix(spec) + sp.diags(V.grid.values.ravel())
 
 

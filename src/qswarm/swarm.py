@@ -59,6 +59,11 @@ class SwarmState:
         return list(self.fields)
 
     def add_particle(self, pid: str, counts: np.ndarray, scale: float) -> None:
+        """Add a particle under a new id: its (4, *dims) counts and its
+        samples-per-unit-amplitude scale.  An id in use, bad counts or a
+        non-positive scale raise DomainError and leave the state untouched."""
+        if pid in self.fields:
+            raise DomainError(f"particle id {pid!r} is in use")
         counts = np.asarray(counts, dtype=float)
         if counts.shape != (4, *self.spec.dims):
             raise DomainError(

@@ -278,22 +278,17 @@ def test_decay_draws_the_branch_law():
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "reflecting", "absorbing"])
-def test_shift_is_one_inflow_per_axis(boundary, monkeypatch):
-    """A translation makes one boundary-rule shift per non-zero axis and
-    equals np.roll wherever it succeeds; off a periodic lattice it fails
-    exactly when support above 1e-12 would leave, whole axis included."""
+def test_shift_equals_roll_where_support_fits(boundary):
+    """A translation equals np.roll wherever it succeeds; off a periodic
+    lattice it fails exactly when support above 1e-12 would leave, whole
+    axis included."""
     import qswarm.composite as composite
 
-    calls = []
-    inflow = composite._add_inflow
-    monkeypatch.setattr(composite, "_add_inflow",
-                        lambda *a: calls.append(a[2:4]) or inflow(*a))
     spec = LatticeSpec((6, 5, 4), boundary=boundary)
     psi = np.zeros(spec.dims, dtype=complex)
     psi[2:4, 1:3, 1] = 1.0 + 0.5j
     psi[0, 0, 0] = 1e-13  # below the threshold: may be dropped
     out = composite._shift(psi, (2, 0, -1), spec)
-    assert calls == [(0, 2), (2, -1)]
     inside = np.where(np.abs(psi) > 1e-12, psi, 0)
     expect = np.roll(psi if boundary == "periodic" else inside, (2, -1), axis=(0, 2))
     assert np.array_equal(out, expect)
@@ -308,13 +303,26 @@ def test_shift_is_one_inflow_per_axis(boundary, monkeypatch):
         assert not composite._shift(np.zeros(spec.dims), (0, 0, 9), spec).any()
     # a (4, *dims) count field moves along its trailing lattice axes
     counts = np.stack([psi.real, psi.imag, np.abs(psi), np.zeros(spec.dims)])
-    calls.clear()
     out = composite._shift(counts, (2, 0, -1), spec)
-    assert calls == [(1, 2), (3, -1)]
     inside = np.where(np.abs(counts) > 1e-12, counts, 0)
     expect = np.roll(counts if boundary == "periodic" else inside, (2, -1), axis=(1, 3))
     assert np.array_equal(out, expect)
     assert composite._shift(counts, (0, 0, 0), spec) is not counts
+
+
+def test_add_particle_refuses_a_glued_id():
+    """Re-adding a composite's id raises and keeps the composite's record,
+    so decay still splits the composite, not a plain particle."""
+    spec = LatticeSpec((16,))
+    state = two_particle_state(spec, 4, 8)
+    cid = glue(state, "a", "b", InternalState((Branch(1.0, (0, 1), ((0,), (4,))),)))
+    counts, record = state.fields[cid].copy(), state.internal[cid]
+    with pytest.raises(DomainError, match="is in use"):
+        state.add_particle(cid, np.eye(16)[0] * [[1.0], [0], [0], [0]], 1.0)
+    assert np.array_equal(state.fields[cid], counts) and state.internal[cid] is record
+    assert decay(state, cid, np.random.default_rng(0)) == ("a", "b")
+    for pid, cell in (("a", 4), ("b", 8)):
+        assert np.allclose(reconstruct_wavefunction(state, pid)[0], delta(spec, cell))
 
 
 def test_decay_requires_composite():

@@ -13,6 +13,7 @@ from qswarm import (
     InternalState,
     LatticeSpec,
     PotentialField,
+    StepParams,
     SwarmState,
     cell_index,
     density_error,
@@ -21,10 +22,13 @@ from qswarm import (
     fock_diagonal_density,
     free_gaussian_1d,
     glue,
+    hamiltonian,
     reference_evolve,
     relax_to_green,
     resample,
     sample_from_wavefunction,
+    step_meanfield,
+    step_stochastic,
     symmetrized_amplitude,
 )
 
@@ -51,9 +55,47 @@ def evolve(T, dt):
     reference_evolve(ComplexField(LINE, UNIT), PotentialField.zero(LINE), T, dt)
 
 
+GRID = LatticeSpec((16, 8))
+
+
+def potential_on(dims):
+    return PotentialField(FieldGrid(LatticeSpec(dims), np.ones(dims)))
+
+
+def step_grid(step, dims):
+    """One step of a 16x8 state through a potential on a ``dims`` lattice."""
+    state = sample_from_wavefunction(np.eye(128)[68].reshape(GRID.dims), GRID, 100,
+                                     np.random.default_rng(0))
+    step(state, potential_on(dims), StepParams(dt=0.05))
+
+
 CASES = {
     "field-grid-shape": (lambda: FieldGrid(LINE, np.zeros(7)), "does not match lattice"),
     "cell-index-arity": (lambda: cell_index((1, 2), LINE), "expected 1 coordinates"),
+    "cell-index-fraction": (lambda: cell_index((1.7,), LINE), "whole numbers"),
+    "cell-index-nan": (lambda: cell_index((np.nan,), LINE), "whole numbers"),
+    "cell-index-inf": (lambda: cell_index((np.inf,), LINE), "whole numbers"),
+    "potential-per-column-meanfield": (
+        lambda: step_grid(step_meanfield, (8,)), "does not match lattice"
+    ),
+    "potential-per-row-meanfield": (
+        lambda: step_grid(step_meanfield, (16,)), "does not match lattice"
+    ),
+    "potential-per-column-stochastic": (
+        lambda: step_grid(lambda *a: step_stochastic(*a, np.random.default_rng(1)), (8,)),
+        "does not match lattice",
+    ),
+    "potential-per-row-stochastic": (
+        lambda: step_grid(lambda *a: step_stochastic(*a, np.random.default_rng(1)), (16,)),
+        "does not match lattice",
+    ),
+    "potential-hamiltonian": (
+        lambda: hamiltonian(GRID, potential_on((8,))), "does not match lattice"
+    ),
+    "potential-evolve": (
+        lambda: reference_evolve(ComplexField(LINE, UNIT), potential_on((16,)), 1.0, 0.1),
+        "does not match lattice",
+    ),
     "green-lattices-differ": (
         lambda: relax_to_green(FieldGrid(LINE), FieldGrid(LatticeSpec((9,))), 0.5, 10),
         "lattices differ",

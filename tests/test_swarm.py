@@ -7,11 +7,14 @@ from qswarm import (
     DomainError,
     EmptySwarmError,
     LatticeSpec,
+    PotentialField,
+    StepParams,
     SwarmState,
     cancel_pairs,
     reconstruct_wavefunction,
     resample,
     sample_from_wavefunction,
+    step_stochastic,
     swarm_budget,
 )
 
@@ -53,6 +56,21 @@ def test_reconstruct_three_four_five():
 def test_reconstruct_empty_swarm():
     with pytest.raises(EmptySwarmError):
         reconstruct_wavefunction(make_state(np.zeros((4, 3))))
+
+
+def test_add_particle_refuses_an_id_in_use():
+    """Re-adding a particle that has photons in flight raises and leaves its
+    fields, scale and cohorts as they were."""
+    spec = LatticeSpec((16,))
+    rng = np.random.default_rng(3)
+    s = sample_from_wavefunction(np.eye(16)[8], spec, 100, rng)
+    s = step_stochastic(s, PotentialField.zero(spec), StepParams(dt=0.1), rng)
+    fields, cohorts, scale = s.fields["p0"].copy(), list(s.photons["p0"]), s.scale["p0"]
+    assert cohorts
+    with pytest.raises(DomainError, match="'p0' is in use"):
+        s.add_particle("p0", np.zeros((4, 16)), 1.0)
+    assert np.array_equal(s.fields["p0"], fields) and s.scale["p0"] == scale
+    assert s.photons["p0"] == cohorts and s.particles() == ["p0"]
 
 
 # ---------------------------------------------------------------------------
