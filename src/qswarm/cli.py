@@ -12,7 +12,8 @@ Subcommands:
 ``bench`` reports CPU seconds per step, the best of five repetitions
 interleaved across the particle counts.
 
-Common flags: --seed, --out (default: the current directory), --mode.
+Flags: --seed (run, born-test, bench), --out (run, born-test, green-test;
+default: the current directory), --mode (run).
 Reports are plain text, one ``KEY: value`` per line.
 """
 
@@ -303,10 +304,11 @@ def _print_report(report: dict) -> None:
 
 def _load(args) -> Scenario:
     scenario = load_scenario_file(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        scenario.seed = args.seed
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        scenario.seed = seed
     if getattr(args, "mode", None):
         scenario.mode = args.mode
     return scenario
@@ -317,31 +319,27 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, mode_flag=True):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=".")
-        if mode_flag:
-            sp.add_argument("--mode", choices=("meanfield", "stochastic", "oracle"),
-                            default=None)
-
     sp = sub.add_parser("run", help="evolve a scenario, emit FRAME files")
     sp.add_argument("config")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--out", default=".")
+    sp.add_argument("--mode", choices=("meanfield", "stochastic", "oracle"), default=None)
 
     sp = sub.add_parser("born-test", help="Born-rule measurement statistics")
     sp.add_argument("config")
     sp.add_argument("--draws", type=int, default=10000)
-    common(sp, mode_flag=False)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--out", default=".")
 
     sp = sub.add_parser("green-test", help="Coulomb / Green-function check")
     sp.add_argument("config")
-    common(sp, mode_flag=False)
+    sp.add_argument("--out", default=".")
 
     sp = sub.add_parser("bench", help="O(nN) step-time scaling")
     sp.add_argument("config")
     sp.add_argument("--particles", default="1,2,4,8")
     sp.add_argument("--steps", type=int, default=10)
-    common(sp, mode_flag=False)
+    sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("compare", help="density distance of two FRAME files")
     sp.add_argument("frame_a")

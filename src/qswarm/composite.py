@@ -128,26 +128,19 @@ def _branch_offsets(branch: Branch, ndim: int):
     return branch.offsets
 
 
-def com_internal(xa, xb, labels=(0, 1)) -> InternalState:
-    """Single-branch internal state placing two constituents at fixed
-    offsets around their (rounded) center of mass."""
+def com_internal(xa, xb) -> InternalState:
+    """Single-branch internal state, labels (0, 1), placing two constituents
+    at fixed offsets around their (rounded) center of mass."""
     xa = np.asarray(xa, dtype=int)
     xb = np.asarray(xb, dtype=int)
     com = np.floor_divide(xa + xb, 2)
     return InternalState(
-        (Branch(1.0 + 0j, tuple(labels), (tuple(xa - com), tuple(xb - com))),)
+        (Branch(1.0 + 0j, (0, 1), (tuple(xa - com), tuple(xb - com))),)
     )
 
 
-def glue(
-    state: SwarmState,
-    a: str,
-    b: str,
-    internal: InternalState,
-    *,
-    cid: str | None = None,
-) -> str:
-    """Fuse particles a and b into one composite swarm.
+def glue(state: SwarmState, a: str, b: str, internal: InternalState) -> str:
+    """Fuse particles a and b into one composite swarm named ``(a+b)``.
 
     The composite position amplitude is inferred from the constituents by
     undoing the branch offsets; every branch and both constituents must
@@ -157,8 +150,8 @@ def glue(
     a's scale, and so are a's in-flight photon cohorts: nothing is drawn,
     and every sample carries the same internal state (swarm stability
     principle).  The state stores the composite's :class:`Composite`
-    record under its id, keeping the records of a and b.  A ``cid`` that
-    names a particle other than a or b is an error.  Off a periodic
+    record under its id, keeping the records of a and b.  An id ``(a+b)``
+    that already names a particle is an error.  Off a periodic
     lattice the translated photons must stay on it as the field must: a
     photon can be up to ``n_age`` hops beyond the field, so a glue whose
     field fits can still raise :class:`DomainError`, leaving the state
@@ -166,10 +159,10 @@ def glue(
     that are not two of ``spec.ndim`` integers each.
     """
     spec = state.spec
-    cid = cid or f"({a}+{b})"
+    cid = f"({a}+{b})"
     if a == b:
         raise DomainError(f"cannot glue {a!r} to itself")
-    if cid not in (a, b) and cid in state.fields:
+    if cid in state.fields:
         raise DomainError(f"composite id {cid!r} names an existing particle")
     psi_a, _ = reconstruct_wavefunction(state, a)
     psi_b, _ = reconstruct_wavefunction(state, b)
@@ -212,7 +205,7 @@ def decay(state: SwarmState, cid: str, rng) -> tuple[str, str]:
     use, or a translation that fails, leaves the state untouched.
     """
     rec = _composite(state, cid)
-    taken = [pid for pid in rec.constituents if pid != cid and pid in state.fields]
+    taken = [pid for pid in rec.constituents if pid in state.fields]
     if taken:
         raise DomainError(f"constituent ids {taken} name existing particles")
     weights = np.abs(rec.internal.amplitudes()) ** 2
@@ -286,13 +279,13 @@ def hierarchical_from_amplitudes(psi: np.ndarray) -> HierarchicalState:
     return HierarchicalState(levels)
 
 
-def depth_class(h: HierarchicalState, p: int, tol: float = 1e-9) -> bool:
+def depth_class(h: HierarchicalState, p: int) -> bool:
     """True iff psi is a product of conditional tables, each a function of
     its last p+1 coordinates only, wherever psi's path weight is non-zero.
 
     The row of level j at outer coordinates o = r_1..r_{j-p} and class
     c = r_{j-p+1}..r_j (its last axis at fixed r_1..r_j) must equal, within
-    ``tol`` per entry, a unit phase phi(o, c) times the heaviest row of its
+    1e-9 per entry, a unit phase phi(o, c) times the heaviest row of its
     class.  Rows of zero path weight (the product of the outer levels'
     |.|^2 along them) carry no amplitude and are skipped.  phi then moves
     onto the level j-1 entry at (o, c), which leaves psi unchanged, and
@@ -318,7 +311,7 @@ def depth_class(h: HierarchicalState, p: int, tol: float = 1e-9) -> bool:
         phase = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap),
                           where=overlap != 0)
         live = w > 0
-        if np.abs(rows - phase[..., None] * ref)[live].max(initial=0.0) > tol:
+        if np.abs(rows - phase[..., None] * ref)[live].max(initial=0.0) > 1e-9:
             return False
         levels[j - 1] *= np.where(live, phase, 1).reshape(levels[j - 1].shape)
     return True
@@ -393,15 +386,15 @@ def place_fermion_swarms(
     K: int,
     rng,
     deterministic: bool = False,
-    tol: float = 1e-9,
 ) -> list[SwarmState]:
     """One independent swarm per one-particle state on pairwise disjoint
     supports; the union density then equals the antisymmetrized diagonal
-    density."""
+    density.  Two states overlap, a :class:`DisjointnessError`, where
+    sum |psi_i| |psi_j| exceeds 1e-9."""
     psis = [np.asarray(p, dtype=complex) for p in states]
     for i in range(len(psis)):
         for j in range(i + 1, len(psis)):
-            if float(np.sum(np.abs(psis[i]) * np.abs(psis[j]))) > tol:
+            if float(np.sum(np.abs(psis[i]) * np.abs(psis[j]))) > 1e-9:
                 raise DisjointnessError(
                     f"states {i} and {j} overlap: disjointness violated"
                 )

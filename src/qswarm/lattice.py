@@ -126,16 +126,19 @@ def cell_index(position, spec: LatticeSpec) -> int:
 
     Under periodic boundaries coordinates wrap; otherwise out-of-range
     coordinates are a domain error, and so are fractional, non-finite and
-    int64-overflowing ones.
+    int64-overflowing ones and ones ``float()`` cannot read.
     """
     try:
         # an integer array is whole; float(c).is_integer() is False for nan, inf
         raw = np.asarray(position)
-        if raw.dtype.kind not in "iu" and not all(float(c).is_integer() for c in raw.flat):
-            raise DomainError(f"coordinates {position!r} must be whole numbers")
-        pos = np.asarray(position, dtype=int)
+        whole = raw.dtype.kind in "iu" or all(float(c).is_integer() for c in raw.flat)
+        pos = np.asarray(position, dtype=int) if whole else None
     except OverflowError:
         raise DomainError(f"coordinates {position!r} out of integer range") from None
+    except (TypeError, ValueError):  # float() of a string or None, a ragged tuple
+        whole = False
+    if not whole:
+        raise DomainError(f"coordinates {position!r} must be whole numbers")
     if pos.shape != (spec.ndim,):
         raise DomainError(f"expected {spec.ndim} coordinates, got {position!r}")
     dims = np.asarray(spec.dims)

@@ -292,7 +292,7 @@ def test_bench_report(tmp_path, capsys):
         + "step.A = 200\n",
     )
     code, report, _ = run_cli(capsys, "bench", cfg, "--particles", "1,2",
-                              "--steps", "2", "--out", str(tmp_path))
+                              "--steps", "2")
     assert code == 0
     assert report["N_CELLS"] == "32"
     assert float(report["TIME_N1"]) > 0
@@ -302,8 +302,7 @@ def test_bench_report(tmp_path, capsys):
 
 def test_bench_empty_particle_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GAUSS_1D.format(steps=0, every=1))
-    code, _, err = run_cli(capsys, "bench", cfg, "--particles", "",
-                           "--out", str(tmp_path))
+    code, _, err = run_cli(capsys, "bench", cfg, "--particles", "")
     assert code == 2
     assert "particle" in err
 
@@ -319,7 +318,7 @@ def test_bench_empty_particle_list(tmp_path, capsys):
         (("--steps", "0"), "steps"),
         (("--steps", "-3"), "steps"),
     ):
-        code, report, err = run_cli(capsys, "bench", cfg, *flags, "--out", str(tmp_path))
+        code, report, err = run_cli(capsys, "bench", cfg, *flags)
         assert code == 2, flags
         assert err.startswith("error:") and word in err
         assert not report
@@ -501,6 +500,11 @@ def test_removed_threads_flag_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", cfg, "--threads", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
+    # green-test draws nothing and bench writes nothing: neither takes the flag
+    for argv in (["green-test", cfg, "--seed", "1"], ["bench", cfg, "--out", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_version_flag(capsys):

@@ -75,6 +75,8 @@ CASES = {
     "cell-index-fraction": (lambda: cell_index((1.7,), LINE), "whole numbers"),
     "cell-index-nan": (lambda: cell_index((np.nan,), LINE), "whole numbers"),
     "cell-index-inf": (lambda: cell_index((np.inf,), LINE), "whole numbers"),
+    "cell-index-text": (lambda: cell_index(("a",), LINE), "whole numbers"),
+    "cell-index-none": (lambda: cell_index((None,), LINE), "whole numbers"),
     "potential-per-column-meanfield": (
         lambda: step_grid(step_meanfield, (8,)), "does not match lattice"
     ),
@@ -94,6 +96,10 @@ CASES = {
     ),
     "potential-evolve": (
         lambda: reference_evolve(ComplexField(LINE, UNIT), potential_on((16,)), 1.0, 0.1),
+        "does not match lattice",
+    ),
+    "potential-evolve-no-steps": (
+        lambda: reference_evolve(ComplexField(LINE, UNIT), potential_on((16,)), 0.0, 0.1),
         "does not match lattice",
     ),
     "green-lattices-differ": (

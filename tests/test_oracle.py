@@ -124,6 +124,19 @@ def test_eigensolver_residual():
     assert np.linalg.norm(H @ psi.psi.ravel() - E * psi.psi.ravel()) < 1e-8
 
 
+def test_dense_eigensolver_path_checks_its_residual(monkeypatch):
+    """Below 400 cells the levels come from a dense solve, and its pairs
+    pass the same 1e-8 residual check as LOBPCG's: a level off by 1e-6
+    raises instead of being returned."""
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + 1e-6, eigh(a)[1]))
+    spec = LatticeSpec((16,))
+    V = PotentialField.zero(spec)
+    for solve in (lambda: energy_levels(spec, V, 3), lambda: ground_state(spec, V)):
+        with pytest.raises(RuntimeError, match="residual .* above 1e-8"):
+            solve()
+
+
 def test_energy_levels_sparse_path_matches_dense():
     spec = LatticeSpec((21, 21), boundary=Boundary.ABSORBING)  # 441 cells: LOBPCG
     x = spec.coordinates(0)

@@ -159,6 +159,18 @@ def test_resample_drops_cancelling_cell():
     assert out.fields["p0"][:, 0].sum() == 0
 
 
+def test_resample_leaves_an_empty_particle_as_it_is():
+    """A particle with no samples has no wave function to budget: resample
+    keeps its zero counts and its scale, and still rescales the others."""
+    counts = np.zeros((4, 8))
+    counts[0, 3] = 10
+    s = make_state(counts)
+    s.add_particle("b", np.zeros((4, 8)), 2.0)
+    out = resample(s, A=3.0, rng=np.random.default_rng(0))
+    assert np.array_equal(out.fields["b"], np.zeros((4, 8))) and out.scale["b"] == 2.0
+    assert out.fields["p0"][0, 3] == 3.0 and out.scale["p0"] == pytest.approx(0.3)
+
+
 def test_resample_requires_positive_budget():
     counts = np.zeros((4, 2))
     counts[0, 0] = 1
