@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MemoryBudgetError
-from .lattice import FieldGrid, LatticeSpec, PotentialField, _add_inflow, field_laplacian
+from .errors import ConfigError, DomainError, MemoryBudgetError
+from .lattice import Boundary, LatticeSpec, PotentialField, _add_inflow
 from .swarm import (PhotonCohort, SwarmState, _exact, _split, _stochastic_round, cancel_pairs,
                     resample)
 
@@ -53,6 +53,11 @@ _NEXT = np.array([1, 2, 3, 0])
 # draw array (2d int64 per count) costs more than that saves (measured
 # on 1D to 3D Gaussians).
 _STACK_CELLS = 2**14
+
+# Cells per slab of the blocked mean-field step.  On the 64^3 reflecting box
+# (2-vCPU Xeon, 2 MiB L2 a core) an update took 8.4-10 ms at 2**13 cells,
+# 4.3-4.5 ms at 2**16 (16 planes, 512 KiB) and 5.6-6.0 ms as one slab.
+_SLAB_CELLS = 2**16
 
 
 @dataclass
@@ -129,22 +134,47 @@ def meanfield_update(
     re -= dt*(Lap im - V im), then im += dt*(Lap re - V re) with the updated
     re (staggered update).  The result is split back into four
     non-negative counts, at most one of each (+, -) pair non-zero per cell.
+
+    Each half-step builds h^2*(Lap - V)*x in one buffer, the fused diagonal
+    na*x with na = -(2d + h^2 V) plus the 2d inflows of :func:`_add_inflow`,
+    then scales it by -+dt/h^2 and adds it.  Both half-steps run slab by
+    slab along axis 0 (``_SLAB_CELLS``), so a slab's buffer stays in cache.  A
+    slab reads one halo plane each side and keeps only its own rows, so the
+    result is bit-identical for any slab size.
     """
     V.check_lattice(spec)
     check_meanfield_stability(spec, V, p)
-    dt, v = p.dt, V.grid.values
+    if fields.shape != (4, *spec.dims):
+        raise DomainError(f"fields shape {fields.shape} does not match lattice {spec.dims}")
+    n = spec.dims[0]
+    rows = max(1, _SLAB_CELLS * n // spec.ncells)
+    slabs = [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    na = V.grid.values * -spec.h**2
+    na -= 2 * spec.ndim
 
-    def rate(x):
-        """dt*(Lap x - V x), computed in the Laplacian's own buffer."""
-        d = field_laplacian(FieldGrid(spec, x)).values
-        d -= v * x
-        d *= dt
-        return d
+    def halo(s):
+        """Rows of slab ``s`` with a halo plane each side, and its own rows in them."""
+        if spec.boundary is Boundary.PERIODIC and len(slabs) > 1:
+            return np.arange(s.start - 1, s.stop + 1) % n, slice(1, -1)
+        lo = max(s.start - 1, 0)
+        return slice(lo, s.stop + 1), slice(s.start - lo, s.stop - lo)
+
+    def half_step(y, x, scale):
+        """y += scale * h^2*(Lap - V)*x, slab by slab."""
+        for s in slabs:
+            win, own = halo(s)
+            xs = x[win]
+            d = na[win] * xs
+            for axis in range(spec.ndim):
+                for step in (+1, -1):
+                    _add_inflow(d, xs, axis, step, spec.boundary)
+            d[own] *= scale
+            y[s] += d[own]
 
     out = np.empty(fields.shape)
-    re, im = np.subtract(fields[:2], fields[2:], out=out[:2])
-    re -= rate(im)
-    im += rate(re)
+    np.subtract(fields[:2], fields[2:], out=out[:2])
+    half_step(out[0], out[1], -p.dt / spec.h**2)
+    half_step(out[1], out[0], p.dt / spec.h**2)
     return _split(out)
 
 

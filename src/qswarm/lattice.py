@@ -11,8 +11,8 @@ conventions are supported:
 * ``absorbing``  - outflowing mass is lost, zero-value (Dirichlet) stencils.
 
 :func:`_add_inflow`, the inflow from one neighbor, is the one place that
-implements these rules; diffusion, the Laplacian and the stochastic photon
-hop all accumulate their one-cell moves through it, in place.
+implements these rules; diffusion, the Laplacian, the mean-field step and
+the stochastic photon hop all accumulate their one-cell moves through it, in place.
 """
 
 from __future__ import annotations
@@ -126,12 +126,13 @@ def cell_index(position, spec: LatticeSpec) -> int:
 
     Under periodic boundaries coordinates wrap; otherwise out-of-range
     coordinates are a domain error, and so are fractional, non-finite and
-    int64-overflowing ones and ones ``float()`` cannot read.
+    int64-overflowing ones, text (even "2") and ones ``float()`` cannot read.
     """
     try:
         # an integer array is whole; float(c).is_integer() is False for nan, inf
         raw = np.asarray(position)
-        whole = raw.dtype.kind in "iu" or all(float(c).is_integer() for c in raw.flat)
+        whole = raw.dtype.kind in "iu" or all(
+            not isinstance(c, (str, bytes)) and float(c).is_integer() for c in raw.flat)
         pos = np.asarray(position, dtype=int) if whole else None
     except OverflowError:
         raise DomainError(f"coordinates {position!r} out of integer range") from None

@@ -266,11 +266,13 @@ def test_acceptance_7_coulomb_green_function():
 
 def test_acceptance_8_linear_scaling():
     # a Gaussian of width 50 at cell 5000 of 10,000, K = 20,000 per particle;
-    # bench_scaling times n = 1, 2, 4, 8 particles, 10 steps, best of five
+    # bench_scaling times n = 1, 2, 4, 8 particles, best of five repetitions
+    # of 40 steps each: 10 steps (about 20 ms at n = 1) sat within the
+    # machine's scheduling noise and failed R2 now and then
     sc = load_scenario("lattice.dims = 10000\ninitial.kind = gaussian\n"
                        "initial.center = 0.5\ninitial.width = 50\nstep.dt = 0.1\n"
                        "step.A = 2000\nrun.samples = 20000\nrun.seed = 0\n")
-    report = bench_scaling(sc, [1, 2, 4, 8], 10)
+    report = bench_scaling(sc, [1, 2, 4, 8], 40)
     times = [float(report[f"TIME_N{n}"]) for n in (1, 2, 4, 8)]
     r2 = float(report["LINEAR_R2"])
     emit(f"  times={times} R2={r2:.4f}")

@@ -208,6 +208,47 @@ def test_meanfield_conserves_the_staggered_norm_for_any_potential(data):
     assert staggered_norm_drift(spec, v, share, 500, seed=data.draw(st.integers(0, 99))) <= 1e-12
 
 
+SLAB_LATTICES = [(40,), (9, 5), (2, 7), (13, 4, 3), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("dims", SLAB_LATTICES, ids=str)
+def test_meanfield_slabs_give_one_result(monkeypatch, dims, boundary):
+    """The blocked step is bit-identical for any slab size and is the
+    acceptance-11 formula.  At 1, 5, 17 and 24 cells a slab the lattices
+    split into slabs of 1 to 17 planes, among them a 2-plane axis 0 split in
+    two and a last slab of one plane after 2-plane ones (13x4x3 at 24)."""
+    rng = np.random.default_rng(11)
+    spec = LatticeSpec(dims, h=0.8, boundary=boundary)
+    v = rng.standard_normal(dims)
+    V = PotentialField(FieldGrid(spec, v))
+    p = StepParams(dt=0.9 * 2 / (4 * spec.ndim / spec.h**2 + np.abs(v).max()))
+    counts = rng.random((4, *dims)) * 10
+    outs = []
+    for cells in (1, 5, 17, 24, dynamics._SLAB_CELLS):
+        monkeypatch.setattr(dynamics, "_SLAB_CELLS", cells)
+        outs.append(meanfield_update(counts, V, spec, p))
+    assert all(np.array_equal(out, outs[-1]) for out in outs)
+
+    def lap(x):
+        return field_laplacian(FieldGrid(spec, x)).values
+
+    re, im = counts[0] - counts[2], counts[1] - counts[3]
+    re_new = re - p.dt * (lap(im) - v * im)
+    im_new = im + p.dt * (lap(re_new) - v * re_new)
+    np.testing.assert_allclose(outs[0][0] - outs[0][2], re_new, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(outs[0][1] - outs[0][3], im_new, rtol=0, atol=1e-12)
+
+
+def test_meanfield_slabs_keep_the_staggered_norm(monkeypatch):
+    """Slabs of 7 cells, under one plane of a 3D reflecting lattice: Q is
+    kept to rounding over 500 steps."""
+    monkeypatch.setattr(dynamics, "_SLAB_CELLS", 7)
+    spec = LatticeSpec((6, 4, 3), boundary=Boundary.REFLECTING)
+    v = np.random.default_rng(7).standard_normal(spec.dims)
+    assert staggered_norm_drift(spec, v, 0.9, 500, seed=8) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # stochastic stepper
 

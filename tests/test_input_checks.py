@@ -31,6 +31,7 @@ from qswarm import (
     step_stochastic,
     symmetrized_amplitude,
 )
+from qswarm.dynamics import meanfield_update
 
 LINE = LatticeSpec((8,))
 SQUARE = LatticeSpec((4, 4))
@@ -77,6 +78,17 @@ CASES = {
     "cell-index-inf": (lambda: cell_index((np.inf,), LINE), "whole numbers"),
     "cell-index-text": (lambda: cell_index(("a",), LINE), "whole numbers"),
     "cell-index-none": (lambda: cell_index((None,), LINE), "whole numbers"),
+    "cell-index-numeric-text": (lambda: cell_index(("2",), LINE), "whole numbers"),
+    "meanfield-fields-shape": (
+        lambda: meanfield_update(np.zeros((4, 7)), PotentialField.zero(LINE), LINE,
+                                 StepParams(dt=0.05)),
+        "does not match lattice",
+    ),
+    "meanfield-fields-types": (
+        lambda: meanfield_update(np.zeros((3, 8)), PotentialField.zero(LINE), LINE,
+                                 StepParams(dt=0.05)),
+        "does not match lattice",
+    ),
     "potential-per-column-meanfield": (
         lambda: step_grid(step_meanfield, (8,)), "does not match lattice"
     ),
