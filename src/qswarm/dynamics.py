@@ -35,6 +35,7 @@ lattice edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -48,11 +49,21 @@ from .swarm import (PhotonCohort, SwarmState, _exact, _split, _stochastic_round,
 _PREV = np.array([3, 0, 1, 2])
 _NEXT = np.array([1, 2, 3, 0])
 
-# Most (type, cell) counts hopped by one multinomial call.  Stacking saves
-# the per-call cost of small cohorts; past about 2**14 counts the larger
-# draw array (2d int64 per count) costs more than that saves (measured
-# on 1D to 3D Gaussians).
-_STACK_CELLS = 2**14
+# Most (type, cell) counts hopped by one transport draw; stacking saves the
+# per-call cost of small cohorts.  Median stochastic step (2-vCPU VM) at
+# 2**14 / 2**15 / 2**16 / 2**17 counts: 1D 256 cells, 20 cohorts 1.19 / 1.00
+# / 1.00 / 1.03 ms; 2D 64^2, 10 cohorts 10.4 / 8.9 / 9.0 / 9.2 ms; 3D 16^3,
+# 5 cohorts 33 / 34 / 36 / 40 ms.
+_STACK_CELLS = 2**15
+
+# Largest count a lattice slice may hold and still split by random bits.
+# Per count of m samples (2-vCPU VM, 4096 counts a call), bit split against
+# rng.multinomial: 1D 91 / 110 ns at m = 256, 98 / 94 at 384, 77 / 66 at 512;
+# 2D 337 / 417 ns, 396 / 395, 493 / 350.  They cross near m = 384, and the
+# rest of a slice's counts sit below its largest, so the cap is just above.
+_BIT_CAP = 2**9
+_WORDS = 2**15  # random words drawn at a time (256 KiB)
+_LANE_LOW = np.uint64(0x5555555555555555)  # the low bit of each 2-bit lane
 
 # Cells per slab of the blocked mean-field step.  On the 64^3 reflecting box
 # (2-vCPU Xeon, 2 MiB L2 a core) an update took 8.4-10 ms at 2**13 cells,
@@ -91,6 +102,8 @@ class StepParams:
             raise ConfigError("photon lifetime dt_phot must be >= dt")
         if self.A is not None and not self.A > 0:
             raise ConfigError("memory constant A must be positive")
+        if self.max_population is not None and not self.max_population > 0:
+            raise ConfigError("max_population must be positive")
 
     @property
     def n_age(self) -> int:
@@ -185,23 +198,68 @@ def step_meanfield(s: SwarmState, V: PotentialField, p: StepParams) -> SwarmStat
     )
 
 
+def _bit_hops(m: np.ndarray, rng, moved: np.ndarray) -> None:
+    """Split counts ``m`` into ``moved``, (ndirs, m.size), ndirs 2 or 4.
+
+    A sample takes b = log2(ndirs) fair bits from 64-bit words of ``rng``
+    (for PCG64, its raw outputs; a 32-bit generator such as MT19937 gives
+    two outputs a word).  A count of m samples takes the next ceil(b*m/64)
+    words, masked to the b*m bits it uses, and its direction counts are
+    popcounts of the b-bit lane patterns.  Empty counts take none.  The
+    words are drawn about ``_WORDS`` at a time, cut between counts.
+    """
+    b = len(moved).bit_length() - 1
+    occ = np.flatnonzero(m)
+    m = m[occ]
+    words = (b * m + 63) >> 6
+    ends = np.cumsum(words)
+    cuts = np.flatnonzero(np.diff(ends // _WORDS, prepend=-1, append=-1)).tolist()
+    for i, j in zip(cuts, cuts[1:]):
+        mp, ep = m[i:j], ends[i:j] - (ends[i] - words[i])
+        raw = rng.integers(0, 2**64, int(ep[-1]), dtype=np.uint64)
+        raw[ep - 1] &= np.uint64(2**64 - 1) >> ((-b * mp) & 63).astype(np.uint64)
+        starts = ep - words[i:j]
+        if b == 1:
+            up = np.add.reduceat(np.bitwise_count(raw), starts, dtype=np.int64)
+            draws = [up, mp - up]
+        else:  # 2-bit lanes: the popcounts of the low bits, the high bits and both
+            lo, hi = raw & _LANE_LOW, (raw >> np.uint64(1)) & _LANE_LOW
+            lo, hi, both = (np.add.reduceat(np.bitwise_count(x), starts, dtype=np.int64)
+                            for x in (lo, hi, lo & hi))
+            draws = [mp - lo - hi + both, lo - both, hi - both, both]
+        for k, d in enumerate(draws):
+            moved[k, occ[i:j]] = d
+
+
 def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     """Stochastic nearest-neighbor hop of integer per-cell counts.
 
     Every count moves to one of its 2d axis neighbors with probability
     1/(2d) each.  The trailing axes of ``counts`` are the lattice; leading
-    axes (types, stacked cohorts) are moved independently.  Cells are drawn
-    in C order, so one call on a stack draws what per-slice calls would.
+    axes (types, stacked cohorts) are moved independently.  In 1D and 2D a
+    lattice slice whose counts are all at most ``_BIT_CAP`` splits them by
+    random bits (:func:`_bit_hops`); other slices, and every 3D slice (six
+    directions are not a power of two), draw ``rng.multinomial``.  Slices
+    draw in C order, each from where the one before left the stream, so one
+    call on a stack draws what per-slice calls would.
     """
-    nd = spec.ndim
+    nd, n = spec.ndim, spec.ncells
     lead = counts.ndim - nd
-    draws = rng.multinomial(_exact(counts).astype(np.int64).ravel(), [1.0 / (2 * nd)] * (2 * nd))
+    m = _exact(counts).astype(np.int64).reshape(-1, n)
+    small = (m.max(axis=1) <= _BIT_CAP).tolist() if nd < 3 else [False] * len(m)
+    moved = np.zeros((2 * nd, m.size))
+    j = 0
+    for bits, run in groupby(small):  # runs of slices with one rule
+        i, j = j, j + len(list(run))
+        if bits:
+            _bit_hops(m[i:j].ravel(), rng, moved[:, i * n:j * n])
+        else:
+            moved[:, i * n:j * n] = rng.multinomial(m[i:j].ravel(), [1.0 / (2 * nd)] * (2 * nd)).T
     out = np.zeros(counts.shape)
     k = 0
     for axis in range(nd):
         for step in (+1, -1):
-            moved = draws[:, k].reshape(counts.shape).astype(float)
-            _add_inflow(out, moved, lead + axis, step, spec.boundary)
+            _add_inflow(out, moved[k].reshape(counts.shape), lead + axis, step, spec.boundary)
             k += 1
     return _exact(out)
 
@@ -233,6 +291,7 @@ def step_stochastic(
     emit_rate = calibrated_emission_rate(spec, p)
     out = s.copy()
     vvals = V.grid.values
+    n_age = p.n_age
 
     for pid in out.particles():
         f = out.fields[pid]
@@ -247,7 +306,7 @@ def step_stochastic(
             stack = np.stack([c.counts for c in group]) if len(group) > 1 else group[0].counts[None]
             moved = _diffuse_counts(stack, spec, rng)
             for cohort, counts in zip(group, moved):
-                if cohort.age + 1 >= p.n_age:
+                if cohort.age + 1 >= n_age:
                     # photons of type j convert into particle samples of type j+1
                     f += counts[_PREV] + cohort.pending
                 else:

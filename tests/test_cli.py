@@ -359,6 +359,7 @@ def test_malformed_config_exit_code(tmp_path, capsys):
         base.replace("lattice.dims = 32", "lattice.dims = nan"),
         base.replace("initial.width = 4", "initial.width = nan"),
         base + "step.dt_phot = nan\n",
+        base + "step.max_population = 0\n",
         "lattice.dims = 4\ninitial.kind = file\n"
         f"initial.file = {bad_frame}\nstep.dt = 0.1\nrun.steps = 1\n",
         "lattice.dims = 4\ninitial.kind = file\n"

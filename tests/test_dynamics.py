@@ -1,5 +1,7 @@
 """Mean-field and stochastic integrators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,9 @@ def test_step_params_validation():
                 {"max_population": np.nan}, {"max_population": np.inf}):
         with pytest.raises(ConfigError, match="finite"):
             StepParams(**{"dt": 0.1, **bad})
+    for bad in (0.0, -1.0):  # no step could keep a population this small
+        with pytest.raises(ConfigError, match="max_population must be positive"):
+            StepParams(dt=0.1, max_population=bad)
     assert StepParams(dt=0.1).dt_phot == 0.1
     assert StepParams(dt=0.1, dt_phot=0.5).n_age == 5
 
@@ -493,6 +498,146 @@ def test_diffuse_counts_stack_matches_per_type_calls(dims, boundary):
     per_cohort = np.stack([_diffuse_counts(c, spec, rng_types) for c in cohorts])
     assert np.array_equal(stacked, per_cohort)
     assert rng_stack.random() == rng_types.random()
+
+
+def hops_from_centre(dims, m, rows, rng):
+    """(rows, 2d) samples that ``rows`` counts of ``m`` at the centre of a
+    periodic lattice send to each neighbor, in one stacked call."""
+    spec = LatticeSpec(dims)
+    centre = tuple(n // 2 for n in dims)
+    counts = np.zeros((rows, *dims))
+    counts[(slice(None), *centre)] = m
+    out = _diffuse_counts(counts, spec, rng)
+    assert np.array_equal(out.sum(axis=tuple(range(1, out.ndim))), np.full(rows, m))
+    hops = []
+    for axis in range(len(dims)):
+        for step in (+1, -1):
+            cell = list(centre)
+            cell[axis] += step
+            hops.append(out[(slice(None), *cell)])
+    return np.stack(hops, axis=1)
+
+
+def binomial_chi2_p(x, m, q):
+    """Chi-square p-value of draws ``x`` against Binomial(m, q), adjacent
+    values pooled until each bin expects at least 5 draws."""
+    from scipy import stats
+
+    expected = stats.binom.pmf(np.arange(m + 1), m, q) * len(x)
+    observed = np.bincount(x.astype(np.int64), minlength=m + 1)
+    bins, e, o = [], 0.0, 0
+    for ek, ok in zip(expected, observed):
+        e, o = e + ek, o + ok
+        if e >= 5:
+            bins.append([e, o])
+            e, o = 0.0, 0
+    bins[-1][0] += e
+    bins[-1][1] += o
+    e, o = np.array(bins).T
+    return stats.chisquare(o, e * len(x) / e.sum()).pvalue
+
+
+@pytest.mark.parametrize("dims", [(5,), (5, 5)], ids=["1d", "2d"])
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 63, 64, 65, 128, dynamics._BIT_CAP,
+                               dynamics._BIT_CAP + 1])
+def test_bit_hops_follow_the_binomial_law(dims, m):
+    """Each direction count of m samples is Binomial(m, 1/(2d)), at the
+    edges of a 64-bit word (64 one-bit or 32 two-bit samples), at the
+    bit-split cap and above it, where the slice draws rng.multinomial."""
+    hops = hops_from_centre(dims, m, 4000, np.random.default_rng(m))
+    for k in range(hops.shape[1]):
+        assert binomial_chi2_p(hops[:, k], m, 1 / hops.shape[1]) > 1e-4, k
+
+
+def test_bit_hops_take_64_bits_from_a_32_bit_generator():
+    """MT19937 makes 32 random bits an output: a word of 64 samples still
+    gets 64 fair bits, not 32 and 32 zeros."""
+    rng = np.random.Generator(np.random.MT19937(5))
+    hops = hops_from_centre((5,), 64, 4000, rng)
+    for k in range(2):
+        assert binomial_chi2_p(hops[:, k], 64, 0.5) > 1e-4, k
+
+
+@pytest.mark.parametrize("m", [7, 50])
+def test_bit_hops_2d_covariance(m):
+    """The four 2D direction counts are jointly multinomial: variance
+    3m/16 and covariance -m/16, within five standard errors."""
+    rows = 20000
+    cov = np.cov(hops_from_centre((5, 5), m, rows, np.random.default_rng(3)).T)
+    expected = m / 16 * (4 * np.eye(4) - 1)
+    assert np.all(np.abs(cov - expected) <= 5 * (3 * m / 16) / np.sqrt(rows))
+
+
+@pytest.mark.parametrize("dims", [(6,), (3, 4)], ids=["1d", "2d"])
+def test_bit_hops_stack_matches_per_slice_calls_past_the_cap(dims):
+    """A slice with a count above the bit-split cap draws rng.multinomial in
+    its place in the stream, and other slices whole words (one count holds
+    exactly 64 samples), so a stack still draws what per-slice calls draw
+    and leaves the stream where they leave it."""
+    spec = LatticeSpec(dims, boundary="reflecting")
+    counts = np.random.default_rng(2).integers(0, 70, size=(3, 4, *dims)).astype(float)
+    counts[0, 1].flat[5] = dynamics._BIT_CAP + 1
+    counts[1, 0].flat[0] = 64
+    counts[1, 2].flat[1] = 10**6
+    counts[1, 3].flat[1] = 2**53 - 1
+    counts[2, 1].flat[-1] = 64
+    rng_stack, rng_slices = np.random.default_rng(8), np.random.default_rng(8)
+    stacked = _diffuse_counts(counts, spec, rng_stack)
+    per_slice = np.stack([_diffuse_counts(c, spec, rng_slices) for c in counts])
+    assert np.array_equal(stacked, per_slice)
+    assert stacked.astype(np.int64).sum() == counts.astype(np.int64).sum()
+    # slice by slice: ceil(d*m/64) words a count (PCG64's words are its raw
+    # outputs), or one multinomial draw of the slice past the cap
+    rng_hand = np.random.default_rng(8)
+    for m in counts.reshape(-1, spec.ncells).astype(np.int64):
+        if m.max() > dynamics._BIT_CAP:
+            rng_hand.multinomial(m, [1 / (2 * len(dims))] * (2 * len(dims)))
+        else:
+            rng_hand.bit_generator.random_raw(int(np.ceil(len(dims) * m / 64).sum()))
+    assert rng_stack.random() == rng_slices.random() == rng_hand.random()
+
+
+@pytest.mark.parametrize("dims", [(256,), (32, 32)], ids=["1d", "2d"])
+def test_bit_hops_draw_words_in_bounded_pieces(dims, monkeypatch):
+    """Counts of 256 to 512 samples take 4-8 (1D) or 8-16 (2D) words each;
+    drawn whole, the 2**16 counts of the 2D stack need about 6 MiB of words
+    and three times that for the lanes.  The words come in pieces of
+    ``_WORDS``, which do not change the draws and keep the call's memory a
+    fixed multiple of its input's (drawn whole: 25 times in 1D, 79 in 2D)."""
+    spec = LatticeSpec(dims)
+    counts = np.random.default_rng(3).integers(
+        dynamics._BIT_CAP // 2, dynamics._BIT_CAP + 1, size=(16, 4, *dims)).astype(float)
+    want = _diffuse_counts(counts, spec, np.random.default_rng(1))
+    assert want.sum() == counts.sum()
+    monkeypatch.setattr(dynamics, "_WORDS", 5)
+    assert np.array_equal(_diffuse_counts(counts, spec, np.random.default_rng(1)), want)
+    monkeypatch.undo()
+    tracemalloc.start()
+    _diffuse_counts(counts, spec, np.random.default_rng(1))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # about a dozen int64 or float64 arrays of one value a count (13-14
+    # times the input), and one piece of words
+    assert peak < 16 * counts.nbytes
+
+
+def test_3d_hops_are_one_multinomial_draw():
+    """3D counts hop by ``rng.multinomial`` over the six directions, in C
+    order of the (type, cell) counts: the stream of earlier versions."""
+    spec = LatticeSpec((3, 4, 5))
+    counts = np.random.default_rng(4).integers(0, 9, size=(4, 3, 4, 5)).astype(float)
+    counts[1] = 0.0
+    rng, rng_hand = np.random.default_rng(6), np.random.default_rng(6)
+    got = _diffuse_counts(counts, spec, rng)
+    draws = rng_hand.multinomial(counts.astype(np.int64).ravel(), [1 / 6] * 6)
+    hand = np.zeros(counts.shape)
+    k = 0
+    for axis in (1, 2, 3):
+        for step in (+1, -1):
+            hand += np.roll(draws[:, k].reshape(counts.shape), step, axis=axis)
+            k += 1
+    assert np.array_equal(got, hand)
+    assert rng.random() == rng_hand.random()
 
 
 def per_cohort_step(s, V, p, rng):
