@@ -102,7 +102,7 @@ def run(scenario: Scenario, outdir: str) -> dict:
         for tag, values in fields(state).items():
             path = os.path.join(outdir, f"{tag}_{k:06d}")
             write_frame(path + ".frame", values, k * p.dt)
-            if scenario.output_pgm and values.ndim == 2:
+            if scenario.output_pgm:
                 _write_pgm(path + ".pgm", values)
 
     emit(0)

@@ -39,7 +39,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MemoryBudgetError
+from .errors import ConfigError, DomainError
 from .lattice import Boundary, LatticeSpec, PotentialField, _add_inflow
 from .swarm import (PhotonCohort, SwarmState, _exact, _split, _stochastic_round, cancel_pairs,
                     resample)
@@ -80,17 +80,16 @@ class StepParams:
     parameter: it is calibrated so the expected conversion flux reproduces
     the unit kinetic coefficient (see :func:`calibrated_emission_rate`).
     ``dt_phot`` is the photon lifetime before conversion.  ``A`` is the
-    resampling memory constant (None disables resampling).
-    ``max_population`` bounds the stored samples.
+    resampling memory constant (None disables resampling).  Samples are
+    per-cell counts, so a step's memory does not grow with their number.
     """
 
     dt: float
     dt_phot: float | None = None
     A: float | None = None
-    max_population: float | None = None
 
     def __post_init__(self):
-        for name in ("dt", "dt_phot", "A", "max_population"):
+        for name in ("dt", "dt_phot", "A"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -102,8 +101,6 @@ class StepParams:
             raise ConfigError("photon lifetime dt_phot must be >= dt")
         if self.A is not None and not self.A > 0:
             raise ConfigError("memory constant A must be positive")
-        if self.max_population is not None and not self.max_population > 0:
-            raise ConfigError("max_population must be positive")
 
     @property
     def n_age(self) -> int:
@@ -331,9 +328,4 @@ def step_stochastic(
     # (resample cancels pairs itself)
     if normalize:
         out = cancel_pairs(out) if p.A is None else resample(out, p.A, rng)
-
-    if p.max_population is not None and out.population() > p.max_population:
-        raise MemoryBudgetError(
-            f"population {out.population():.3g} exceeds budget {p.max_population:.3g}"
-        )
     return out

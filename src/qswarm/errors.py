@@ -26,7 +26,7 @@ class DegenerateStateError(DomainError):
 
 
 class MemoryBudgetError(QswarmError, RuntimeError):
-    """Sample population exceeded the configured memory budget."""
+    """A sample count passed 2**53, where float64 counts stop being exact."""
 
 
 class DisjointnessError(DomainError):

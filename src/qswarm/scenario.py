@@ -145,7 +145,7 @@ KEYS = {
     "initial.file": (str, None),
     "potential.kind": (_choice(POTENTIAL_KINDS), "zero"),
     "potential.strength": (_number(), 1.0),
-    "potential.width": (_number(), None),
+    "potential.width": (_number(0, strict=True), None),
     "potential.v0": (_number(), 0.0),
     "potential.charge": (_number(), 1.0),
     "potential.stay_prob": (_number(), 0.5),
@@ -154,7 +154,6 @@ KEYS = {
     "step.dt": (_number(), REQUIRED),
     "step.dt_phot": (_number(), None),
     "step.A": (_number(), None),
-    "step.max_population": (_number(), None),
     "run.mode": (_choice(MODES), "meanfield"),
     "run.duration": (_number(0), None),
     "run.steps": (_number(0, whole=True), None),
@@ -199,10 +198,14 @@ def load_scenario(text: str, name: str = "<config>") -> Scenario:
                 f"{name}: key 'initial.{key}': expected {spec.ndim} coordinate(s), "
                 f"got {initial[key]}"
             )
+    if output["pgm"] and spec.ndim != 2:
+        raise ConfigError(f"{name}: output.pgm = true needs a 2D lattice, got {spec.ndim}D")
     step = StepParams(**sections["step"])
     steps = run["steps"]
     if steps is None:
         steps = 0 if run["duration"] is None else int(round(run["duration"] / step.dt))
+    elif run["duration"] is not None:
+        raise ConfigError(f"{name}: run.steps and run.duration exclude each other; set one")
     return Scenario(
         lattice=spec, initial_kind=initial.pop("kind"), initial_params=initial,
         potential_kind=potential.pop("kind"), potential_params=potential, step=step,

@@ -359,7 +359,9 @@ def test_malformed_config_exit_code(tmp_path, capsys):
         base.replace("lattice.dims = 32", "lattice.dims = nan"),
         base.replace("initial.width = 4", "initial.width = nan"),
         base + "step.dt_phot = nan\n",
-        base + "step.max_population = 0\n",
+        base + "step.max_population = 100\n",  # a deleted key is an unknown key
+        base + "output.pgm = true\n",  # images need a 2D lattice
+        base + "run.duration = 100\n",  # next to its run.steps
         "lattice.dims = 4\ninitial.kind = file\n"
         f"initial.file = {bad_frame}\nstep.dt = 0.1\nrun.steps = 1\n",
         "lattice.dims = 4\ninitial.kind = file\n"
@@ -445,7 +447,7 @@ CONFIG_KEYS = (
     "initial.kind", "initial.center", "initial.width", "initial.momentum", "initial.file",
     "potential.kind", "potential.strength", "potential.width", "potential.v0",
     "potential.charge", "potential.stay_prob", "potential.relax_steps", "potential.file",
-    "step.dt", "step.dt_phot", "step.A", "step.max_population",
+    "step.dt", "step.dt_phot", "step.A",
     "run.mode", "run.duration", "run.steps", "run.seed", "run.samples",
     "output.every", "output.types", "output.pgm",
 )
@@ -474,7 +476,7 @@ FUZZ_CONTEXT = {
 
 
 def test_config_keys_are_every_key_read():
-    assert sorted(scenario.KEYS) == sorted(CONFIG_KEYS) and len(CONFIG_KEYS) == 28
+    assert sorted(scenario.KEYS) == sorted(CONFIG_KEYS) and len(CONFIG_KEYS) == 27
 
 
 @pytest.mark.parametrize("key", CONFIG_KEYS)

@@ -1,5 +1,5 @@
-"""Bad input to the library raises DomainError (ConfigError for a step
-parameter) from its own check, not a numpy error or a wrong result."""
+"""Bad input to the library raises DomainError from its own check, not a
+numpy error or a wrong result."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from qswarm import (
     Branch,
     ComplexField,
-    ConfigError,
     DomainError,
     FieldGrid,
     HierarchicalState,
@@ -175,17 +174,12 @@ CASES = {
     "fock-vanishes": (
         lambda: fock_diagonal_density([UNIT, UNIT], "fermion"), "vanishes identically"
     ),
-    "step-max-population-zero": (
-        lambda: StepParams(dt=0.1, max_population=0.0), "max_population must be positive",
-        ConfigError,
-    ),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_bad_input_raises_domain_error(case):
-    call, message, *kind = CASES[case]
-    error = kind[0] if kind else DomainError
-    with pytest.raises(error, match=message) as exc:
+    call, message = CASES[case]
+    with pytest.raises(DomainError, match=message) as exc:
         call()
-    assert type(exc.value) is error
+    assert type(exc.value) is DomainError

@@ -51,10 +51,11 @@ def test_parse_duplicate_key():
 
 def test_unknown_key_rejected():
     # the drift conversion rule, its mass, the phase-compensation switch,
-    # the emission-rate override and the photon stay probability were
-    # removed; their keys are unknown
+    # the emission-rate override, the photon stay probability and the
+    # population cap were removed; their keys are unknown
     for extra in ("lattice.color = blue", "step.drift_rule = true", "step.mass = 1",
-                  "step.phase_compensation = false", "step.r_emit = 2", "step.p_phot = 1"):
+                  "step.phase_compensation = false", "step.r_emit = 2", "step.p_phot = 1",
+                  "step.max_population = 100"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_scenario(BASE + extra + "\n")
 
@@ -89,9 +90,10 @@ def test_bad_number_and_choice():
                      ("run.samples", "0"), ("output.every", "0"), ("run.seed", "-1")):
         with pytest.raises(ConfigError, match=f"{key}.*must be >="):
             load_scenario(with_key(key, bad, drop="run.steps"))
-    for bad in ("0", "-2"):
-        with pytest.raises(ConfigError, match="initial.width.*must be > 0"):
-            load_scenario(with_key("initial.width", bad))
+    for key in ("initial.width", "potential.width"):
+        for bad in ("0", "-5"):
+            with pytest.raises(ConfigError, match=f"{key}.*must be > 0"):
+                load_scenario(with_key(key, bad))
     # the lower bounds themselves are accepted
     s = load_scenario(with_key("run.steps", "0") + "run.samples = 1\noutput.every = 1\n")
     assert (s.steps, s.samples, s.output_every) == (0, 1, 1)
@@ -113,9 +115,17 @@ def test_defaults():
 def test_duration_to_steps():
     s = load_scenario(BASE.replace("run.steps = 5", "run.duration = 2.0"))
     assert s.steps == 20
-    # explicit steps win over duration
-    s = load_scenario(BASE + "run.duration = 100\n")
-    assert s.steps == 5
+    # the two keys exclude each other: neither silently wins
+    with pytest.raises(ConfigError, match="run.steps and run.duration"):
+        load_scenario(BASE + "run.duration = 100\n")
+
+
+def test_pgm_needs_a_2d_lattice():
+    for dims in ("32", "8 8 8"):
+        with pytest.raises(ConfigError, match="output.pgm = true needs a 2D lattice"):
+            load_scenario(with_key("lattice.dims", dims) + "output.pgm = true\n")
+    assert load_scenario(with_key("lattice.dims", "8 8") + "output.pgm = true\n").output_pgm
+    assert not load_scenario(BASE + "output.pgm = false\n").output_pgm
 
 
 def test_multidim_lattice():
