@@ -56,6 +56,12 @@ def evolve(T, dt):
     reference_evolve(ComplexField(LINE, UNIT), PotentialField.zero(LINE), T, dt)
 
 
+def green(stay_prob=0.5, steps=10, tol=1e-6):
+    """Relax a unit source at cell 3 of an absorbing 8-cell line."""
+    spec = LatticeSpec((8,), boundary="absorbing")
+    relax_to_green(FieldGrid(spec, UNIT.real), FieldGrid(spec), stay_prob, steps, tol)
+
+
 GRID = LatticeSpec((16, 8))
 
 
@@ -118,6 +124,12 @@ CASES = {
         lambda: relax_to_green(FieldGrid(LINE), FieldGrid(LatticeSpec((9,))), 0.5, 10),
         "lattices differ",
     ),
+    "green-steps-fraction": (lambda: green(steps=2.5), "steps must be a whole number"),
+    "green-steps-inf": (lambda: green(steps=np.inf), "steps must be a whole number"),
+    "green-tol-nan": (lambda: green(tol=np.nan), "tol must be > 0"),
+    "green-tol-negative": (lambda: green(tol=-1.0), "tol must be > 0"),
+    "green-stay-nan": (lambda: green(stay_prob=np.nan), "stay probability must be in"),
+    "green-stay-above-one": (lambda: green(stay_prob=1.5), "stay probability must be in"),
     "add-particle-shape": (lambda: add(np.zeros((4, 7))), "counts shape"),
     "add-particle-negative": (lambda: add(-np.ones((4, 8))), "non-negative"),
     "add-particle-nan": (lambda: add(np.full((4, 8), np.nan)), "finite"),

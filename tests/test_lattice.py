@@ -208,23 +208,48 @@ def test_add_inflow_matches_roll_reference(shape, boundary):
         assert np.array_equal(_neighbor_sum(v, boundary), expected), kind
 
 
-@pytest.mark.parametrize("absorbing", [0.0, 0.02])
-def test_green_matches_plain_loop(absorbing):
-    """relax_to_green's in-place sweep gives the iteration count and the
-    field of the plain iteration F <- diffuse(F) + source - absorption*F."""
-    spec = LatticeSpec((9, 9, 9), boundary=Boundary.ABSORBING)
+A, P, R = Boundary.ABSORBING, Boundary.PERIODIC, Boundary.REFLECTING
+# id: dims, boundary, absorption, source cell.  Periodic and reflecting
+# lattices need an absorption > 0 to have a fixed point.  An off-centre
+# source is two cells along each axis from the nearest cell that screens a
+# sweep's convergence (every 4th along each axis), so the first sweeps pass
+# the screen, on zeros, and fail the full test.
+GREEN_CASES = {
+    "3d-absorbing-centre": ((9, 9, 9), A, 0.0, (4, 4, 4)),
+    "3d-absorbing-centre-absorption": ((9, 9, 9), A, 0.02, (4, 4, 4)),
+    "1d-absorbing": ((13,), A, 0.0, (6,)),
+    "1d-periodic": ((13,), P, 0.02, (6,)),
+    "1d-reflecting": ((13,), R, 0.02, (6,)),
+    "2d-absorbing": ((13, 10), A, 0.0, (6, 2)),
+    "2d-periodic": ((13, 10), P, 0.02, (6, 2)),
+    "2d-reflecting": ((13, 10), R, 0.02, (6, 2)),
+    "3d-absorbing": ((9, 7, 10), A, 0.0, (6, 2, 6)),
+    "3d-periodic": ((9, 7, 10), P, 0.02, (6, 2, 6)),
+    "3d-reflecting": ((9, 7, 10), R, 0.02, (6, 2, 6)),
+}
+
+
+@pytest.mark.parametrize("steps", [5000, 3, 40])
+@pytest.mark.parametrize("case", list(GREEN_CASES))
+def test_green_matches_plain_loop(case, steps):
+    """relax_to_green's screened, in-place sweep gives the iteration count,
+    the last change and the field of the plain iteration
+    F <- diffuse(F) + source - absorption*F, converged or cut by ``steps``."""
+    dims, boundary, absorbing, cell = GREEN_CASES[case]
+    spec = LatticeSpec(dims, boundary=boundary)
     src = spec.zeros()
-    src[4, 4, 4] = 2.0
+    src[cell] = 2.0
     absorb = np.full(spec.dims, absorbing)
-    res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec, absorb), 0.5, 5000, tol=1e-9)
+    res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec, absorb), 0.5, steps, tol=1e-9)
     F = spec.zeros()
-    for it in range(1, 5001):
+    for it in range(1, steps + 1):
         Fn = diffuse_field(FieldGrid(spec, F), 0.5).values + src - absorb * F
         change = np.max(np.abs(Fn - F) / np.maximum(np.abs(Fn), 1e-300))
         F = Fn
         if change < 1e-9:
             break
-    assert res.converged and res.iterations == it
+    assert res.converged == (change < 1e-9) == (steps == 5000)
+    assert res.iterations == it
     assert res.last_change == change
     assert np.array_equal(res.field.values, F)
 
@@ -287,6 +312,9 @@ def test_green_nonconvergence_flag():
     src = spec.zeros()
     src[8] = 1.0
     res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec), 0.5, 3)
+    assert not res.converged and res.iterations == 3
+    # a numpy integer is a whole number of steps
+    res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec), 0.5, np.int64(3))
     assert not res.converged and res.iterations == 3
 
 
