@@ -50,19 +50,20 @@ _PREV = np.array([3, 0, 1, 2])
 _NEXT = np.array([1, 2, 3, 0])
 
 # Most (type, cell) counts hopped by one transport draw; stacking saves the
-# per-call cost of small cohorts.  Median stochastic step (2-vCPU VM) at
-# 2**14 / 2**15 / 2**16 / 2**17 counts: 1D 256 cells, 20 cohorts 1.19 / 1.00
-# / 1.00 / 1.03 ms; 2D 64^2, 10 cohorts 10.4 / 8.9 / 9.0 / 9.2 ms; 3D 16^3,
-# 5 cohorts 33 / 34 / 36 / 40 ms.
+# per-call cost of small cohorts.  Median stochastic step of a K = 10**6
+# Gaussian (2-vCPU VM) at 2**14 / 2**15 / 2**16 / 2**17 counts: 1D 256
+# cells, 20 cohorts 0.48 / 0.40 / 0.40 / 0.40 ms; 2D 64^2, 10 cohorts 5.3 /
+# 4.9 / 4.8 / 5.9 ms; 3D 16^3, 5 cohorts 22.3 / 22.3 / 22.2 / 23.1 ms.
 _STACK_CELLS = 2**15
 
 # Largest count a lattice slice may hold and still split by random bits.
 # Per count of m samples (2-vCPU VM, 4096 counts a call), bit split against
-# rng.multinomial: 1D 91 / 110 ns at m = 256, 98 / 94 at 384, 77 / 66 at 512;
-# 2D 337 / 417 ns, 396 / 395, 493 / 350.  They cross near m = 384, and the
-# rest of a slice's counts sit below its largest, so the cap is just above.
+# rng.multinomial: 1D 55 / 76 ns at m = 256, 60 / 70 at 384, 67 / 65 at 512;
+# 2D 205 / 334 ns, 297 / 310, 368 / 295.  They cross near m = 512 in 1D and
+# m = 384 in 2D, and the rest of a slice's counts sit below its largest, so
+# the cap is 512.  Moving it would change which slices draw which way.
 _BIT_CAP = 2**9
-_WORDS = 2**15  # random words drawn at a time (256 KiB)
+_WORDS = 2**15  # random words, or int64 multinomial draws, at a time (256 KiB)
 _LANE_LOW = np.uint64(0x5555555555555555)  # the low bit of each 2-bit lane
 
 # Cells per slab of the blocked mean-field step.  On the 64^3 reflecting box
@@ -202,15 +203,22 @@ def _bit_hops(m: np.ndarray, rng, moved: np.ndarray) -> None:
     (for PCG64, its raw outputs; a 32-bit generator such as MT19937 gives
     two outputs a word).  A count of m samples takes the next ceil(b*m/64)
     words, masked to the b*m bits it uses, and its direction counts are
-    popcounts of the b-bit lane patterns.  Empty counts take none.  The
-    words are drawn about ``_WORDS`` at a time, cut between counts.
+    popcounts of the b-bit lane patterns.  Empty counts take none, and only
+    the occupied counts are cast to int64.  The words are drawn about
+    ``_WORDS`` at a time, cut between counts; words that fit in one piece
+    (the usual case) skip the search for the cuts.
     """
     b = len(moved).bit_length() - 1
-    occ = np.flatnonzero(m)
-    m = m[occ]
+    occ = np.flatnonzero(m != 0)
+    if not occ.size:  # no word to draw, and no piece to cut
+        return
+    m = m[occ].astype(np.int64)
     words = (b * m + 63) >> 6
     ends = np.cumsum(words)
-    cuts = np.flatnonzero(np.diff(ends // _WORDS, prepend=-1, append=-1)).tolist()
+    if ends[-1] <= _WORDS:
+        cuts = [0, len(m)]
+    else:
+        cuts = np.flatnonzero(np.diff(ends // _WORDS, prepend=-1, append=-1)).tolist()
     for i, j in zip(cuts, cuts[1:]):
         mp, ep = m[i:j], ends[i:j] - (ends[i] - words[i])
         raw = rng.integers(0, 2**64, int(ep[-1]), dtype=np.uint64)
@@ -236,22 +244,32 @@ def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     axes (types, stacked cohorts) are moved independently.  In 1D and 2D a
     lattice slice whose counts are all at most ``_BIT_CAP`` splits them by
     random bits (:func:`_bit_hops`); other slices, and every 3D slice (six
-    directions are not a power of two), draw ``rng.multinomial``.  Slices
-    draw in C order, each from where the one before left the stream, so one
-    call on a stack draws what per-slice calls would.
+    directions are not a power of two), draw ``rng.multinomial``, about
+    ``_WORDS`` int64 draws a call.  The largest count, which the 2**53 check
+    takes anyway, picks the rule: when it is at most ``_BIT_CAP`` every 1D
+    or 2D slice splits by bits, with no per-slice maximum.  Slices draw in C
+    order, each from where the one before left the stream, so one call on a
+    stack draws what per-slice calls would.
     """
     nd, n = spec.ndim, spec.ncells
     lead = counts.ndim - nd
-    m = _exact(counts).astype(np.int64).reshape(-1, n)
-    small = (m.max(axis=1) <= _BIT_CAP).tolist() if nd < 3 else [False] * len(m)
+    top = _exact(counts.max())
+    if nd < 3 and top > _BIT_CAP:  # runs of slices with one rule
+        small = (counts.reshape(-1, n).max(axis=1) <= _BIT_CAP).tolist()
+        runs = [(bits, len(list(run))) for bits, run in groupby(small)]
+    else:
+        runs = [(nd < 3, counts.size // n)]
+    m = counts.ravel()
     moved = np.zeros((2 * nd, m.size))
-    j = 0
-    for bits, run in groupby(small):  # runs of slices with one rule
-        i, j = j, j + len(list(run))
+    pvals, piece, hi = [1.0 / (2 * nd)] * (2 * nd), max(1, _WORDS // (2 * nd)), 0
+    for bits, size in runs:
+        lo, hi = hi, hi + size * n
         if bits:
-            _bit_hops(m[i:j].ravel(), rng, moved[:, i * n:j * n])
+            _bit_hops(m[lo:hi], rng, moved[:, lo:hi])
         else:
-            moved[:, i * n:j * n] = rng.multinomial(m[i:j].ravel(), [1.0 / (2 * nd)] * (2 * nd)).T
+            for a in range(lo, hi, piece):
+                b = min(a + piece, hi)
+                moved[:, a:b] = rng.multinomial(m[a:b].astype(np.int64), pvals).T
     out = np.zeros(counts.shape)
     k = 0
     for axis in range(nd):

@@ -1,5 +1,6 @@
 """Mean-field and stochastic integrators."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -394,6 +395,19 @@ def test_counts_past_2_53_raise_memory_budget_error():
                         StepParams(dt=0.1, A=1e30), rng)
 
 
+@pytest.mark.parametrize("bad", [2.0**53, np.inf, np.nan])
+@pytest.mark.parametrize("dims", [(8,), (4, 4), (2, 2, 2)], ids=["1d", "2d", "3d"])
+def test_counts_past_2_53_raise_before_any_draw(dims, bad):
+    """The largest count, which also picks the draw rule, is checked on
+    every lattice before a word or a multinomial is drawn."""
+    counts = np.ones((2, 4, *dims))
+    counts.flat[5] = bad
+    rng = np.random.default_rng(3)
+    with pytest.raises(MemoryBudgetError, match="2\\*\\*53"):
+        _diffuse_counts(counts, LatticeSpec(dims), rng)
+    assert rng.random() == np.random.default_rng(3).random()
+
+
 def test_stochastic_matches_meanfield_in_expectation():
     """V=0, small dt: expected counts after two stochastic steps from a cold
     start (the first step only launches photons) match one mean-field step,
@@ -637,6 +651,105 @@ def test_bit_hops_draw_words_in_bounded_pieces(dims, monkeypatch):
     # about a dozen int64 or float64 arrays of one value a count (13-14
     # times the input), and one piece of words
     assert peak < 16 * counts.nbytes
+
+
+@pytest.mark.parametrize("dims", [(6,), (3, 4), (3, 4, 5)], ids=["1d", "2d", "3d"])
+def test_multinomial_draws_in_bounded_pieces(dims, monkeypatch):
+    """Slices past the bit-split cap, and every 3D slice, draw
+    rng.multinomial about ``_WORDS`` int64 values a call.  Pieces cut
+    anywhere, even inside a slice, draw what one call over every count
+    draws, and leave the stream where it does."""
+    spec = LatticeSpec(dims)
+    counts = np.random.default_rng(5).integers(0, 2000, size=(3, 4, *dims)).astype(float)
+    counts[1, 2] = 0.0
+    counts[..., 0] = dynamics._BIT_CAP + 1  # every slice past the cap
+    rng_want, rng_hand = np.random.default_rng(6), np.random.default_rng(6)
+    want = _diffuse_counts(counts, spec, rng_want)
+    rng_hand.multinomial(counts.astype(np.int64).ravel(), [1 / (2 * len(dims))] * (2 * len(dims)))
+    following = rng_want.random()
+    assert rng_hand.random() == following
+    for words in (7, 1):  # 1D pieces of 3 counts, 2D and 3D of one
+        monkeypatch.setattr(dynamics, "_WORDS", words)
+        rng = np.random.default_rng(6)
+        assert np.array_equal(_diffuse_counts(counts, spec, rng), want), words
+        assert rng.random() == following, words
+
+
+def raw_counts(shape, seed, top):
+    """Counts in [0, top] from raw PCG64 words, a stream every numpy keeps."""
+    raw = np.random.PCG64(seed).random_raw(int(np.prod(shape)))
+    return (raw % np.uint64(top + 1)).astype(float).reshape(shape)
+
+
+def bit_split_stack(case):
+    """(spec, counts) of a stack whose counts all split by random bits."""
+    cap = dynamics._BIT_CAP
+    if case == "1d-cohorts":  # 20 cohorts of a packet, 43 % of counts occupied
+        profile = np.exp(-(((np.arange(256) - 128) / 24) ** 2))
+        return LatticeSpec((256,)), np.floor(raw_counts((20, 4, 256), 1, cap) * profile)
+    if case == "2d":
+        return (LatticeSpec((16, 16), boundary="reflecting"),
+                raw_counts((4, 4, 16, 16), 2, cap // 2))
+    # "1d-pieces": 106,319 words, four pieces of _WORDS
+    return (LatticeSpec((256,), boundary="absorbing"),
+            cap // 2 + raw_counts((16, 4, 256), 3, cap // 2))
+
+
+def words_of(spec, counts):
+    """Random words a bit-split stack takes: ceil(d*m/64) a count."""
+    return int(np.ceil(spec.ndim * counts / 64).sum())
+
+
+@pytest.mark.parametrize("case, digest, following", [
+    ("1d-cohorts", "0ea4179b3ac5a41b8ddcd9a31116fc84be0388fcdd079505f8de2b5edaa46058",
+     0.35605635915772516),
+    ("2d", "dd47b5b9f686329a077db0395a262eaa8d788c9b0f7268ef7d663ae71a012c60",
+     0.07364130802571422),
+    ("1d-pieces", "e6bac552d2c4688fb97aa1b2e83ef0bd1fc6fee3d7385d591f6115ae6436eb26",
+     0.5440969677774814),
+])
+def test_bit_hops_keep_their_stream(case, digest, following):
+    """The bit split's draws are pinned: the sha256 of the hopped counts and
+    the generator's next random() after them.  Its draws are raw 64-bit
+    words, so every supported numpy gives these; a faster split must too."""
+    spec, counts = bit_split_stack(case)
+    rng = np.random.default_rng(7)
+    out = _diffuse_counts(counts, spec, rng)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    assert rng.random() == following
+
+
+@pytest.mark.parametrize("case", ["1d-cohorts", "2d"])
+def test_bit_hops_draw_the_same_at_the_edge_of_one_piece(case, monkeypatch):
+    """``_WORDS`` at exactly a stack's word total (one piece), one less (two
+    pieces) and one more draw what the default piece size and per-slice
+    calls draw, and leave the stream where they do."""
+    spec, counts = bit_split_stack(case)
+    total = words_of(spec, counts)
+    assert total < dynamics._WORDS
+    rng_want = np.random.default_rng(4)
+    want = _diffuse_counts(counts, spec, rng_want)
+    rng_slices = np.random.default_rng(4)
+    slices = counts.reshape(-1, *spec.dims)
+    per_slice = np.stack([_diffuse_counts(c, spec, rng_slices) for c in slices])
+    assert np.array_equal(per_slice.reshape(counts.shape), want)
+    following = rng_want.random()
+    assert rng_slices.random() == following
+    for words in (total - 1, total, total + 1):
+        monkeypatch.setattr(dynamics, "_WORDS", words)
+        rng = np.random.default_rng(4)
+        assert np.array_equal(_diffuse_counts(counts, spec, rng), want), words
+        assert rng.random() == following, words
+
+
+@pytest.mark.parametrize("dims", [(256,), (16, 16)], ids=["1d", "2d"])
+def test_empty_stack_draws_nothing(dims):
+    """An all-zero stack hops to zeros and takes no word from the stream."""
+    spec = LatticeSpec(dims)
+    rng = np.random.default_rng(2)
+    out = _diffuse_counts(np.zeros((3, 4, *dims)), spec, rng)
+    assert out.shape == (3, 4, *dims) and not out.any()
+    assert rng.random() == np.random.default_rng(2).random()
 
 
 def test_3d_hops_are_one_multinomial_draw():
