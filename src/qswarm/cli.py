@@ -161,12 +161,12 @@ def born_test(scenario: Scenario, draws: int, outdir: str) -> dict:
                            for k, flat in enumerate(cells.tolist(), start))
 
     observed = counts[labels].astype(float)
-    chi2, pval = sstats.chisquare(observed, theory * draws)
+    chi2, pval = sstats.chisquare(observed, theory * draws)  # p is nan for one label
     report = {
         "DRAWS": draws,
         "LABELS": len(labels),
         "CHI2": f"{chi2:.6g}",
-        "P_VALUE": f"{pval:.6g}",
+        "P_VALUE": f"{pval if len(labels) > 1 else 1.0:.6g}",  # one label takes every draw
     }
     for l, obs, th in zip(labels, observed, theory):
         freq = obs / draws

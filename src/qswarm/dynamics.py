@@ -40,7 +40,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .lattice import Boundary, LatticeSpec, PotentialField, _add_inflow
+from .lattice import Boundary, LatticeSpec, PotentialField, _add_inflow, _neighbor_sum
 from .swarm import (PhotonCohort, SwarmState, _exact, _split, _stochastic_round, cancel_pairs,
                     resample)
 
@@ -100,6 +100,8 @@ class StepParams:
             self.dt_phot = self.dt
         if self.dt_phot < self.dt - 1e-12:
             raise ConfigError("photon lifetime dt_phot must be >= dt")
+        if float(self.dt_phot) / float(self.dt) == np.inf:  # n_age would round inf
+            raise ConfigError(f"dt_phot={self.dt_phot} is past the float range in steps of dt")
         if self.A is not None and not self.A > 0:
             raise ConfigError("memory constant A must be positive")
 
@@ -116,12 +118,10 @@ def calibrated_emission_rate(spec: LatticeSpec, p: StepParams) -> float:
     A photon cohort hopping for n_age steps acts as I + c*Lap with
     c = n_age * h^2 / (2d); with emission rate r the expected deposit per
     step is r*dt*c*Lap, so r = 1/c = 2d / (n_age * h^2).  It is computed as
-    1/c: in 3D the other form can differ in the last bit.
+    1/c: in 3D the other form can differ in the last bit.  ``LatticeSpec``
+    keeps 2d/h^2 finite, and n_age >= 1, so 1/c is finite too.
     """
-    c = p.n_age * spec.h**2 / (2 * spec.ndim)
-    if not c > 0 or not np.isfinite(1.0 / c):
-        raise ConfigError(f"cell spacing h={spec.h} makes the emission rate infinite")
-    return 1.0 / c
+    return 1.0 / (p.n_age * spec.h**2 / (2 * spec.ndim))
 
 
 def check_meanfield_stability(spec: LatticeSpec, V: PotentialField, p: StepParams) -> None:
@@ -147,7 +147,7 @@ def meanfield_update(
     non-negative counts, at most one of each (+, -) pair non-zero per cell.
 
     Each half-step builds h^2*(Lap - V)*x in one buffer, the fused diagonal
-    na*x with na = -(2d + h^2 V) plus the 2d inflows of :func:`_add_inflow`,
+    na*x with na = -(2d + h^2 V) plus the neighbor sum of :func:`_neighbor_sum`,
     then scales it by -+dt/h^2 and adds it.  Both half-steps run slab by
     slab along axis 0 (``_SLAB_CELLS``), so a slab's buffer stays in cache.  A
     slab reads one halo plane each side and keeps only its own rows, so the
@@ -175,10 +175,7 @@ def meanfield_update(
         for s in slabs:
             win, own = halo(s)
             xs = x[win]
-            d = na[win] * xs
-            for axis in range(spec.ndim):
-                for step in (+1, -1):
-                    _add_inflow(d, xs, axis, step, spec.boundary)
+            d = _neighbor_sum(xs, spec.boundary, na[win] * xs)
             d[own] *= scale
             y[s] += d[own]
 

@@ -71,11 +71,11 @@ def read_frame(path) -> Frame:
         raise DomainError(f"{path}: malformed FRAME header") from exc
     if len(header) != 4 + d or not 1 <= d <= 3:
         raise DomainError(f"{path}: malformed FRAME header")
-    n = int(np.prod(dims))
+    n = math.prod(dims)  # np.prod would wrap past int64
     if len(body) != n:
         raise DomainError(f"{path}: expected {n} values, found {len(body)}")
     try:
-        values = np.array([float(x) for x in body]).reshape(dims)
+        values = np.array(body, dtype=float).reshape(dims)  # float()'s grammar, in C
     except ValueError as exc:
         raise DomainError(f"{path}: malformed FRAME value") from exc
     if not (np.isfinite(time) and np.all(np.isfinite(values))):

@@ -55,8 +55,10 @@ class LatticeSpec:
             raise DomainError(f"every axis needs >= 2 cells, got {dims}")
         if math.prod(dims) > np.iinfo(np.intp).max:
             raise DomainError(f"lattice {dims} has more cells than an array can index")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise DomainError(f"cell spacing must be positive and finite, got {self.h}")
+        # every stencil divides by h*h, the stability bound by 4d/(h*h): about 1e-154 < h < 1e154
+        h = float(self.h) if self.h > 0 else 0.0  # NaN too
+        if not (0 < h * h < math.inf and 4 * len(dims) / (h * h) < math.inf):
+            raise DomainError(f"cell spacing h={self.h} must keep h*h and 4d/(h*h) finite and > 0")
 
     @property
     def ndim(self) -> int:
@@ -192,13 +194,14 @@ def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary
         total[leave] = bounced
 
 
-def _neighbor_sum(v: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Sum of the 2d axis neighbors of every cell under the :func:`_add_inflow` rule.
+def _neighbor_sum(v: np.ndarray, boundary: Boundary, total=None) -> np.ndarray:
+    """Sum of the 2d axis neighbors of every cell under the :func:`_add_inflow` rule,
+    added in place to ``total`` (zeros when None) and returned.
 
     A reflecting edge counts the cell itself as its missing neighbor (the
     mass bounced back), an absorbing edge counts zero (the mass dropped).
     """
-    total = np.zeros(v.shape, v.dtype)
+    total = np.zeros(v.shape, v.dtype) if total is None else total
     for axis in range(v.ndim):
         for step in (+1, -1):
             _add_inflow(total, v, axis, step, boundary)
@@ -297,27 +300,22 @@ def relax_to_green(
     if not source.values.any():
         return GreenResult(FieldGrid(spec), True, 0, 0.0)
 
+    def change_of(old, new):  # the maximum relative change |new - old| / max(|new|, 1e-300)
+        return float(np.max(np.abs(new - old) / np.maximum(np.abs(new), 1e-300)))
+
     absorbs = absorption.values.any()
     sample = (slice(None, None, _SCREEN_STRIDE),) * spec.ndim
     F = spec.zeros()
-    scale = spec.zeros()
-    change = np.inf
-    it = 0
     for it in range(1, steps + 1):
         Fn = diffuse_field(FieldGrid(spec, F), stay_prob).values
         Fn += source.values
         if absorbs:
             Fn -= absorption.values * F
         # the screen; a NaN sample compares False and takes the full test
-        s, sn = F[sample], Fn[sample]
-        if it < steps and np.max(np.abs(sn - s) / np.maximum(np.abs(sn), 1e-300)) >= tol:
+        if it < steps and change_of(F[sample], Fn[sample]) >= tol:
             F = Fn
             continue
-        # maximum relative change |Fn - F| / max(|Fn|, 1e-300), in F's buffer
-        np.maximum(np.abs(Fn, out=scale), 1e-300, out=scale)
-        diff = np.abs(np.subtract(Fn, F, out=F), out=F)
-        diff /= scale
-        change = float(diff.max())
+        change = change_of(F, Fn)
         F = Fn
         if change < tol:
             return GreenResult(FieldGrid(spec, F), True, it, change)

@@ -256,10 +256,13 @@ def build_initial(s: Scenario) -> ComplexField:
                for c, n in zip(p["center"], spec.dims)]
         psi.flat[cell_index(pos, spec)] = 1.0
     elif kind == "gaussian":
-        psi = math.prod(
-            np.exp(-((x - c) ** 2) / (4.0 * p["width"] ** 2) + 1j * k * x)
-            for x, c, k in zip(_grid(spec), p["center"], p["momentum"])
-        )
+        if not 1e-150 < p["width"] < 1e150:  # 4*width^2 a positive finite float
+            raise ConfigError(f"key 'initial.width': {p['width']!r} is outside (1e-150, 1e150)")
+        with np.errstate(over="ignore"):  # a square past the float range is an amplitude of 0
+            psi = math.prod(
+                np.exp(-((x - c) ** 2) / (4.0 * p["width"] ** 2) + 1j * k * x)
+                for x, c, k in zip(_grid(spec), p["center"], p["momentum"])
+            )
     elif kind == "plane_wave":
         psi = math.prod(np.exp(1j * k * x) for x, k in zip(_grid(spec), p["momentum"]))
     else:  # pragma: no cover

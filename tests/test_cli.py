@@ -138,6 +138,19 @@ def test_born_test_report(tmp_path, capsys):
             assert f"theory={p:.6g} " in report[f"LABEL_{label}"]
 
 
+def test_born_test_one_label_reports_p_value_1(tmp_path, capsys):
+    """A delta state's urn has one label: every draw lands on it, and the
+    chi-square, with no degree of freedom, reports P_VALUE 1, not nan."""
+    cfg = write_cfg(tmp_path, "lattice.dims = 8\ninitial.kind = delta\nstep.dt = 0.1\n"
+                              "run.samples = 1000\n")
+    code, report, _ = run_cli(capsys, "born-test", cfg, "--draws", "1000",
+                              "--out", str(tmp_path))
+    assert code == 0
+    assert report["LABELS"] == "1"
+    assert report["CHI2"] == "0" and report["P_VALUE"] == "1"
+    assert report["LABEL_4"].startswith("freq=1 theory=1 ")
+
+
 def test_born_test_log_matches_measure_swarm(tmp_path, capsys):
     """born-test draws from the urn it reduced once, on one stream; draw k is
     the cell of the k-th successive measure_swarm of the initial swarm on
@@ -451,7 +464,7 @@ CONFIG_KEYS = (
     "run.mode", "run.duration", "run.steps", "run.seed", "run.samples",
     "output.every", "output.types", "output.pgm",
 )
-FUZZ_TOKENS = ("nan", "inf", "-1", "0", "0.5", "1e30", "foo", "")
+FUZZ_TOKENS = ("nan", "inf", "-1", "0", "0.5", "1e30", "1e200", "-1e200", "1e-170", "foo", "")
 FUZZ_BASE = {
     "lattice.dims": "8",
     "initial.kind": "gaussian",
@@ -486,7 +499,7 @@ def test_config_fuzz_exits_0_or_2(tmp_path, capsys, key):
     huge step count or duration is skipped: a long run is valid input."""
     cfg_path = tmp_path / "fuzz.cfg"
     for token in FUZZ_TOKENS:
-        if key in ("run.steps", "run.duration") and token == "1e30":
+        if key in ("run.steps", "run.duration") and token in ("1e30", "1e200"):
             continue
         cfg = {**FUZZ_BASE, **FUZZ_CONTEXT.get(key, {}), key: token}
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items() if v is not None))

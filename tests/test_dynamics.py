@@ -70,6 +70,15 @@ def test_step_params_validation():
     assert StepParams(dt=0.1, dt_phot=0.5).n_age == 5
 
 
+def test_step_params_reject_a_lifetime_of_infinite_steps():
+    """dt_phot/dt past the float range would leave n_age no whole number."""
+    with pytest.raises(ConfigError, match="dt_phot"):
+        StepParams(dt=0.1, dt_phot=1e308)
+    with pytest.raises(ConfigError, match="dt_phot"):
+        StepParams(dt=np.float64(1e-10), dt_phot=np.float64(1e300))
+    assert StepParams(dt=1.0, dt_phot=1e300).n_age == int(1e300)
+
+
 def test_calibration_matches_diffusion_coefficient():
     """One photon hop acts as I + c*Lap; the emission rate must be 1/c."""
     spec = LatticeSpec((16,))
@@ -84,11 +93,11 @@ def test_calibration_matches_diffusion_coefficient():
 
 
 def test_calibration_rejects_a_non_finite_rate():
-    """r = 2d/(n_age*h^2) overflows for a tiny cell spacing: a ConfigError
-    that names the spacing, not a ZeroDivisionError."""
+    """r = 2d/(n_age*h^2) overflows for a tiny cell spacing: the lattice
+    rejects that spacing with an error that names it, not a ZeroDivisionError."""
     p = StepParams(dt=0.1)
     for h in (1e-300, 1e-160):
-        with pytest.raises(ConfigError, match="cell spacing"):
+        with pytest.raises(DomainError, match="cell spacing"):
             calibrated_emission_rate(LatticeSpec((16,), h=h), p)
     assert calibrated_emission_rate(LatticeSpec((16,), h=1e-100), p) == pytest.approx(2e200)
 
@@ -242,6 +251,40 @@ def test_meanfield_slabs_give_one_result(monkeypatch, dims, boundary):
     im_new = im + p.dt * (lap(re_new) - v * re_new)
     np.testing.assert_allclose(outs[0][0] - outs[0][2], re_new, rtol=0, atol=1e-12)
     np.testing.assert_allclose(outs[0][1] - outs[0][3], im_new, rtol=0, atol=1e-12)
+
+
+def raw_unit(shape, seed):
+    """Doubles in [0, 1) from the top 53 bits of raw PCG64 words."""
+    raw = np.random.PCG64(seed).random_raw(int(np.prod(shape)))
+    return ((raw >> np.uint64(11)).astype(float) * 2.0**-53).reshape(shape)
+
+
+def meanfield_case(case):
+    """(spec, counts, V, p) of a pinned mean-field step, with a signed V."""
+    dims, boundary = {"1d-slabs": ((40,), "periodic"), "2d": ((9, 7), "reflecting"),
+                      "3d": ((5, 4, 6), "absorbing")}[case]
+    spec = LatticeSpec(dims, h=0.8, boundary=boundary)
+    v = (raw_unit(dims, 21) - 0.5) * 4.0
+    p = StepParams(dt=0.9 * 2 / (4 * spec.ndim / spec.h**2 + float(np.abs(v).max())))
+    return spec, raw_unit((4, *dims), 22) * 10.0, PotentialField(FieldGrid(spec, v)), p
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("1d-slabs", "d6b70994662c819ffaf5f485fe6c6632971c96cecc3bab02e12e01297b626425"),
+    ("2d", "a1aa14c2cde776b43037a36811f3996e97e3d9ff51c3bb20a7f99b50dde0c6ac"),
+    ("3d", "246071cb437dae54ab8048865c6679c5a7e2ab34d3d97805de40c44d3911c443"),
+])
+def test_meanfield_update_keeps_its_bits(case, digest, monkeypatch):
+    """The mean-field step is pinned: the sha256 of one update's output,
+    with signed zeros made +0 (the sign np.maximum gives a zero may differ
+    between builds).  The inputs come from raw PCG64 words, so every
+    supported numpy gives these; a rewritten stencil must too.  The 1D line
+    splits into five slabs of 7 planes and a last one of 5."""
+    if case == "1d-slabs":
+        monkeypatch.setattr(dynamics, "_SLAB_CELLS", 7)
+    spec, counts, V, p = meanfield_case(case)
+    out = meanfield_update(counts, V, spec, p) + 0.0
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def test_meanfield_slabs_keep_the_staggered_norm(monkeypatch):

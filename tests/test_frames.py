@@ -108,3 +108,12 @@ def test_malformed_rejected(tmp_path, text):
     path.write_text(text, errors="surrogateescape")
     with pytest.raises(DomainError):
         read_frame(path)
+
+
+def test_a_count_past_int64_is_a_count_mismatch(tmp_path):
+    """4294967296^2 = 2**64 values: the count is exact, not wrapped to 0,
+    so two values are a count mismatch, not a malformed value."""
+    path = tmp_path / "huge.frame"
+    path.write_text("FRAME v1 2 4294967296 4294967296 0\n1 2\n")
+    with pytest.raises(DomainError, match=f"expected {2**64} values, found 2"):
+        read_frame(path)

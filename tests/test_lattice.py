@@ -44,6 +44,23 @@ def test_spec_rejects_non_integral_or_non_finite(dims, h):
         LatticeSpec(dims, h=h)
 
 
+@pytest.mark.parametrize("h", [1e-154, 5e-324, 1e-170, 2e154, 1e200, np.float64(1e200),
+                               np.float64(1e-170), -1.0, float("nan")])
+def test_spec_rejects_a_spacing_whose_square_leaves_the_float_range(h):
+    """Every stencil divides by h*h and the stability bound by 4d/(h*h): a
+    spacing that makes either one zero or infinite is a DomainError, with
+    no OverflowError and no numpy warning."""
+    with pytest.raises(DomainError, match="cell spacing"):
+        LatticeSpec((8,), h=h)
+
+
+@pytest.mark.parametrize("dims", [(4,), (4, 4), (4, 4, 4)], ids=["1d", "2d", "3d"])
+def test_spec_accepts_spacings_from_1e_153_to_1e153(dims):
+    for h in (1e-153, 1e153):
+        spec = LatticeSpec(dims, h=h)
+        assert np.isfinite(4 * spec.ndim / spec.h**2) and spec.h**2 > 0
+
+
 def test_cell_index_origin():
     assert cell_index((0, 0), LatticeSpec((4, 4))) == 0
 
@@ -208,6 +225,21 @@ def test_add_inflow_matches_roll_reference(shape, boundary):
         assert np.array_equal(_neighbor_sum(v, boundary), expected), kind
 
 
+@pytest.mark.parametrize("shape, boundary", _stencil_cases())
+def test_neighbor_sum_adds_into_a_given_buffer(shape, boundary):
+    """Given a buffer, the neighbor sum adds its 2d inflows to it in place,
+    in _add_inflow's order, and returns that buffer."""
+    rng = np.random.default_rng(6)
+    v, start = rng.standard_normal(shape), rng.standard_normal(shape)
+    expected = start.copy()
+    for axis in range(len(shape)):
+        for step in (+1, -1):
+            _add_inflow(expected, v, axis, step, boundary)
+    total = start.copy()
+    assert _neighbor_sum(v, boundary, total) is total
+    assert np.array_equal(total, expected)
+
+
 A, P, R = Boundary.ABSORBING, Boundary.PERIODIC, Boundary.REFLECTING
 # id: dims, boundary, absorption, source cell.  Periodic and reflecting
 # lattices need an absorption > 0 to have a fixed point.  An off-centre
@@ -232,7 +264,7 @@ GREEN_CASES = {
 @pytest.mark.parametrize("steps", [5000, 3, 40])
 @pytest.mark.parametrize("case", list(GREEN_CASES))
 def test_green_matches_plain_loop(case, steps):
-    """relax_to_green's screened, in-place sweep gives the iteration count,
+    """relax_to_green's screened sweep gives the iteration count,
     the last change and the field of the plain iteration
     F <- diffuse(F) + source - absorption*F, converged or cut by ``steps``."""
     dims, boundary, absorbing, cell = GREEN_CASES[case]
