@@ -5,14 +5,11 @@ Subcommands:
     qswarm run <config>            evolve and emit FRAME files + summary
     qswarm born-test <config>      Born-rule measurement statistics
     qswarm green-test <config>     diffusion-equilibrium Coulomb check
-    qswarm bench <config>          O(n N) step-time scaling table
     qswarm compare <A> <B>         density distance of two FRAME files
 
 ``born-test`` draws every label from one ``default_rng([seed, 1])`` stream.
-``bench`` reports CPU seconds per step, the best of five repetitions
-interleaved across the particle counts.
 
-Flags: --seed (run, born-test, bench), --out (run, born-test, green-test;
+Flags: --seed (run, born-test), --out (run, born-test, green-test;
 default: the current directory), --mode (run).
 Reports are plain text, one ``KEY: value`` per line.
 """
@@ -39,7 +36,6 @@ from .scenario import Scenario, build_initial, build_potential, load_scenario_fi
 from .swarm import reconstruct_wavefunction, sample_from_wavefunction
 
 BORN_CHUNK = 2**16  # most labels born-test holds at once
-BENCH_REPEATS = 5  # bench keeps the best of this many timed repetitions
 
 
 def step_rng(seed: int, step: int):
@@ -238,59 +234,6 @@ def green_test(scenario: Scenario, outdir: str) -> dict:
     return report
 
 
-def bench_scaling(scenario: Scenario, particle_counts, steps: int = 10) -> dict:
-    """CPU seconds per stochastic step for n independent identical particles.
-
-    Every n's state is built and warmed up by one step first.  Then
-    ``BENCH_REPEATS`` repetitions, interleaved across n so that a slow spell
-    of the machine hits every n alike, each step the same warm state with
-    ``step_rng(seed, 1..steps)``; the least CPU time of this process counts.
-    """
-    if not particle_counts:
-        raise ConfigError("bench needs a non-empty particle list")
-    if min(particle_counts) < 1:
-        raise ConfigError(f"bench particle counts must be >= 1, got {particle_counts}")
-    if len(set(particle_counts)) != len(particle_counts):
-        raise ConfigError(f"bench particle counts must be distinct, got {particle_counts}")
-    if steps < 1:
-        raise ConfigError(f"bench needs steps >= 1, got {steps}")
-    spec = scenario.lattice
-    psi0 = build_initial(scenario)
-    V = build_potential(scenario)
-    p = scenario.step
-    warm = []
-    for n in particle_counts:
-        rng = step_rng(scenario.seed, 0)
-        state = sample_from_wavefunction(psi0.psi, spec, scenario.samples, rng, pid="p0")
-        for j in range(1, n):
-            extra = sample_from_wavefunction(psi0.psi, spec, scenario.samples, rng,
-                                             pid=f"p{j}")
-            state.add_particle(f"p{j}", extra.fields[f"p{j}"], extra.scale[f"p{j}"])
-        warm.append(step_stochastic(state, V, p, step_rng(scenario.seed, 0)))
-    times = [np.inf] * len(warm)
-    for _ in range(BENCH_REPEATS):
-        for i, state in enumerate(warm):
-            t0 = _time.process_time()
-            for k in range(1, steps + 1):
-                state = step_stochastic(state, V, p, step_rng(scenario.seed, k))
-            times[i] = min(times[i], (_time.process_time() - t0) / steps)
-
-    ns = np.asarray(particle_counts, dtype=float)
-    ts = np.asarray(times)
-    report = {"N_CELLS": spec.ncells, "STEPS": steps}
-    for n, t in zip(particle_counts, times):
-        report[f"TIME_N{n}"] = f"{t:.6g}"
-    if len(ns) >= 2:
-        coef = np.polyfit(ns, ts, 1)
-        pred = np.polyval(coef, ns)
-        ss_res = float(np.sum((ts - pred) ** 2))
-        ss_tot = float(np.sum((ts - ts.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-        report["LINEAR_R2"] = f"{r2:.6f}"
-        report["SLOPE"] = f"{coef[0]:.6g}"
-    return report
-
-
 def compare(path_a, path_b) -> dict:
     fa, fb = read_frame(path_a), read_frame(path_b)
     err = density_error(fa.values, fb.values)
@@ -335,12 +278,6 @@ def main(argv=None) -> int:
     sp.add_argument("config")
     sp.add_argument("--out", default=".")
 
-    sp = sub.add_parser("bench", help="O(nN) step-time scaling")
-    sp.add_argument("config")
-    sp.add_argument("--particles", default="1,2,4,8")
-    sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=None)
-
     sp = sub.add_parser("compare", help="density distance of two FRAME files")
     sp.add_argument("frame_a")
     sp.add_argument("frame_b")
@@ -353,13 +290,6 @@ def main(argv=None) -> int:
             _print_report(born_test(_load(args), args.draws, _outdir(args)))
         elif args.command == "green-test":
             _print_report(green_test(_load(args), _outdir(args)))
-        elif args.command == "bench":
-            try:
-                counts = [int(x) for x in args.particles.replace(",", " ").split()]
-            except ValueError as exc:
-                raise ConfigError(
-                    f"--particles needs integers, got {args.particles!r}") from exc
-            _print_report(bench_scaling(_load(args), counts, args.steps))
         elif args.command == "compare":
             _print_report(compare(args.frame_a, args.frame_b))
     except QswarmError as exc:

@@ -325,8 +325,8 @@ def step_stochastic(
                     kept.append(PhotonCohort(counts, cohort.pending, cohort.age + 1))
 
         # (a) emission of a fresh cohort
-        lam = f * (emit_rate * p.dt)
-        emitted = _stochastic_round(lam, rng)
+        with np.errstate(over="ignore", invalid="ignore"):  # _exact fails an inf or NaN count
+            emitted = _stochastic_round(f * (emit_rate * p.dt), rng)
         if emitted.any():
             # each type-j photon is paired with a type j-1 anti-sample
             kept.append(PhotonCohort(emitted, emitted[_NEXT], 0))
@@ -335,7 +335,8 @@ def step_stochastic(
         # (d) potential events: type j spawns j-1 where V > 0, its negation
         # (shift by two) where V < 0
         if vvals.any():
-            spawn = _stochastic_round(f * (np.abs(vvals) * p.dt), rng)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in the emission
+                spawn = _stochastic_round(f * (np.abs(vvals) * p.dt), rng)
             f += np.where(vvals > 0, spawn[_NEXT], spawn[_PREV])
         _exact(f)
 

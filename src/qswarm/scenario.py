@@ -246,6 +246,10 @@ def build_initial(s: Scenario) -> ComplexField:
     spec = s.lattice
     kind = s.initial_kind
     p = s.initial_params
+    if kind in ("gaussian", "plane_wave"):  # the phase k*x is largest at an axis's end
+        for k, n in zip(p["momentum"], spec.dims):
+            if not math.isfinite(abs(k) * ((n - 1) / 2.0 * spec.h)):
+                raise ConfigError(f"key 'initial.momentum': {k!r} overflows the phase k*x")
     if kind == "file":
         psi = _frame_values("initial", p["file"], spec).astype(complex)
     elif kind == "delta":
@@ -282,6 +286,9 @@ def build_potential(s: Scenario) -> PotentialField:
     if kind == "file":
         return PotentialField(FieldGrid(spec, _frame_values("potential", p["file"], spec)))
     if kind == "harmonic":
+        half = [(n - 1) / 2.0 * spec.h for n in spec.dims]  # each axis's largest |x|
+        if not math.isfinite(abs(p["strength"]) * sum(x * x for x in half)):
+            raise ConfigError(f"key 'potential.strength': {p['strength']!r} overflows V")
         return PotentialField(FieldGrid(spec, p["strength"] * sum(x**2 for x in _grid(spec))))
     if kind == "box":
         # flat well of the given full width around the center, walls at v0
@@ -305,5 +312,7 @@ def build_potential(s: Scenario) -> PotentialField:
                 f"{p['relax_steps']} sweeps (last relative change {res.last_change:.3g}, "
                 f"{spec.boundary.value} boundary; only an absorbing one has a fixed point)"
             )
+        if not math.isfinite(abs(p["charge"]) * float(res.field.values.max())):  # field >= 0
+            raise ConfigError(f"key 'potential.charge': {p['charge']!r} overflows V")
         return PotentialField(FieldGrid(spec, -p["charge"] * res.field.values))
     raise ConfigError(f"unknown potential kind {kind!r}")  # pragma: no cover

@@ -179,7 +179,8 @@ def resample(s: SwarmState, A: float, rng) -> SwarmState:
             continue
         target = swarm_budget(out, pid, A)
         factor = target / current
-        out.fields[pid] = _stochastic_round(f * factor, rng)
+        with np.errstate(over="ignore", invalid="ignore"):  # _exact fails an inf or NaN count
+            out.fields[pid] = _stochastic_round(f * factor, rng)
         out.scale[pid] *= factor
     return out
 

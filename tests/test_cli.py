@@ -297,46 +297,6 @@ def test_green_test_rejects_1d(tmp_path, capsys):
     assert "3D" in err
 
 
-def test_bench_report(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        GAUSS_1D.format(steps=0, every=1).replace("run.samples = 20000",
-                                                  "run.samples = 1000")
-        + "step.A = 200\n",
-    )
-    code, report, _ = run_cli(capsys, "bench", cfg, "--particles", "1,2",
-                              "--steps", "2")
-    assert code == 0
-    assert report["N_CELLS"] == "32"
-    assert float(report["TIME_N1"]) > 0
-    assert float(report["TIME_N2"]) > 0
-    assert "LINEAR_R2" in report
-
-
-def test_bench_empty_particle_list(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, GAUSS_1D.format(steps=0, every=1))
-    code, _, err = run_cli(capsys, "bench", cfg, "--particles", "")
-    assert code == 2
-    assert "particle" in err
-
-    # non-integer, non-positive or repeated counts and fewer than one step
-    # exit 2, never with a traceback or a report of a run that did not happen
-    for flags, word in (
-        (("--particles", "a,b"), "particle"),
-        (("--particles", "0"), "particle"),
-        (("--particles", "-1"), "particle"),
-        (("--particles", "1,-2"), "particle"),
-        (("--particles", "1,1"), "distinct"),
-        (("--particles", "2,1,2"), "distinct"),
-        (("--steps", "0"), "steps"),
-        (("--steps", "-3"), "steps"),
-    ):
-        code, report, err = run_cli(capsys, "bench", cfg, *flags)
-        assert code == 2, flags
-        assert err.startswith("error:") and word in err
-        assert not report
-
-
 def test_compare_identical_and_different(tmp_path, capsys):
     from qswarm import write_frame
 
@@ -435,13 +395,20 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     ("step.dt = 1e300", "2\\*\\*53"),
     ("potential.kind = harmonic\npotential.strength = 1e300", "2\\*\\*53"),
     ("lattice.h = 1e-300", "cell spacing"),
-], ids=["h-1e-10", "dt-1e300", "harmonic-1e300", "h-1e-300"])
+    ("step.dt = 1e308", "2\\*\\*53"),
+    ("potential.kind = box\npotential.v0 = 1e308", "2\\*\\*53"),
+    ("potential.kind = box\npotential.v0 = -1e308", "2\\*\\*53"),
+    ("step.A = 1e308", "2\\*\\*53"),
+], ids=["h-1e-10", "dt-1e300", "harmonic-1e300", "h-1e-300", "dt-1e308", "v0-1e308",
+        "v0-minus-1e308", "A-1e308"])
 def test_stochastic_counts_past_the_exact_range_exit_2(tmp_path, capsys, extra, message):
     """A stochastic step whose counts would pass 2**53, where float64 counts
     stop being exact integers, is a memory-budget error (exit 2), never a
-    wrapped int64 draw, a NaN norm or an infinite population; a cell
-    spacing so small that the emission rate is not finite is a config
-    error."""
+    wrapped int64 draw, a NaN norm or an infinite population.  So is an
+    emission, spawn or resample rate whose product with the counts passes
+    the float range (inf, or NaN on an empty cell), with no numpy warning on
+    the way.  A cell spacing so small that the emission rate is not finite
+    is a config error."""
     text = "lattice.dims = 8\ninitial.kind = gaussian\ninitial.width = 2\n" \
            "run.steps = 2\nrun.samples = 1000\n" + extra + "\n"
     if "step.dt" not in extra:
@@ -464,7 +431,8 @@ CONFIG_KEYS = (
     "run.mode", "run.duration", "run.steps", "run.seed", "run.samples",
     "output.every", "output.types", "output.pgm",
 )
-FUZZ_TOKENS = ("nan", "inf", "-1", "0", "0.5", "1e30", "1e200", "-1e200", "1e-170", "foo", "")
+FUZZ_TOKENS = ("nan", "inf", "-1", "0", "0.5", "1e30", "1e200", "-1e200", "1e308", "-1e308",
+               "1e-170", "foo", "")
 FUZZ_BASE = {
     "lattice.dims": "8",
     "initial.kind": "gaussian",
@@ -499,7 +467,7 @@ def test_config_fuzz_exits_0_or_2(tmp_path, capsys, key):
     huge step count or duration is skipped: a long run is valid input."""
     cfg_path = tmp_path / "fuzz.cfg"
     for token in FUZZ_TOKENS:
-        if key in ("run.steps", "run.duration") and token in ("1e30", "1e200"):
+        if key in ("run.steps", "run.duration") and token in ("1e30", "1e200", "1e308"):
             continue
         cfg = {**FUZZ_BASE, **FUZZ_CONTEXT.get(key, {}), key: token}
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items() if v is not None))
@@ -516,8 +484,8 @@ def test_removed_threads_flag_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", cfg, "--threads", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    # green-test draws nothing and bench writes nothing: neither takes the flag
-    for argv in (["green-test", cfg, "--seed", "1"], ["bench", cfg, "--out", "x"]):
+    # green-test draws nothing, so it takes no seed; the bench command is gone
+    for argv in (["green-test", cfg, "--seed", "1"], ["bench", cfg]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

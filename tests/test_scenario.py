@@ -188,6 +188,26 @@ def test_initial_plane_wave():
     assert np.allclose(np.abs(psi), 1 / 4)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "plane_wave"])
+def test_initial_momentum_past_the_float_range_names_the_key(kind):
+    """The phase k*x is largest at an axis's end, (n - 1)/2 * h: a momentum
+    that takes it past the float range is a ConfigError naming the key, not
+    numpy's warning and a NaN wave function; a k that keeps it a float still
+    builds."""
+    text = f"initial.kind = {kind}\nstep.dt = 0.1\n"
+    for dims, k in (("8", "1e308"), ("8", "-1e308"), ("4 8", "0 1e308")):
+        s = load_scenario(f"lattice.dims = {dims}\ninitial.momentum = {k}\n" + text)
+        with pytest.raises(ConfigError, match="initial.momentum"):
+            build_initial(s)
+    # 3.5 = (8 - 1)/2 is the last cell's x, and 3.5 * 5e307 is below 1.8e308
+    s = load_scenario("lattice.dims = 8\ninitial.momentum = 5e307\n" + text)
+    assert np.isfinite(build_initial(s).psi).all()
+    # a delta reads no momentum, so none is out of range
+    s = load_scenario("lattice.dims = 8\ninitial.kind = delta\ninitial.momentum = 1e308\n"
+                      "step.dt = 0.1\n")
+    assert build_initial(s).psi[4] == 1.0
+
+
 def test_initial_from_file(tmp_path):
     vals = np.arange(1.0, 9.0)
     path = tmp_path / "init.frame"
@@ -260,6 +280,23 @@ def test_potential_relaxed_unconverged_rejected():
     )
     with pytest.raises(ConfigError, match="potential.relax_steps = 20000"):
         build_potential(s)
+
+
+def test_potential_past_the_float_range_names_its_key():
+    """A harmonic strength or a relaxed charge whose V would pass the float
+    range is a ConfigError naming the key, not numpy's overflow warning."""
+    coulomb = ("lattice.dims = 8\nlattice.boundary = absorbing\ninitial.kind = delta\n"
+               "step.dt = 0.1\npotential.kind = coulomb_relaxed\n")
+    for text, key in ((BASE + "potential.kind = harmonic\n", "strength"), (coulomb, "charge")):
+        for value in ("1e308", "-1e308"):
+            s = load_scenario(text + f"potential.{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"potential.{key}"):
+                build_potential(s)
+    # the largest |V| is at a corner, 15.5 cells from the centre of 32
+    s = load_scenario(BASE + "potential.kind = harmonic\npotential.strength = 1e305\n")
+    assert build_potential(s).grid.values.max() == 1e305 * 15.5**2
+    s = load_scenario(coulomb + "potential.charge = 1e300\n")
+    assert np.isfinite(build_potential(s).grid.values).all()
 
 
 def test_potential_file_roundtrip(tmp_path):
