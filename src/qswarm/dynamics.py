@@ -125,8 +125,12 @@ def calibrated_emission_rate(spec: LatticeSpec, p: StepParams) -> float:
 
 
 def check_meanfield_stability(spec: LatticeSpec, V: PotentialField, p: StepParams) -> None:
-    """Explicit staggered scheme is stable for dt*(4d/h^2 + max|V|) <= 2."""
+    """Explicit staggered scheme is stable for dt*(4d/h^2 + max|V|) <= 2;
+    the step also forms h^2*V, so h^2*max|V| must be a float."""
     vmax = V._vmax
+    if spec.h**2 * vmax == np.inf:
+        raise ConfigError(f"lattice.h={spec.h} squared times the potential's "
+                          f"max|V|={vmax:.6g} is past the float range")
     bound = 2.0 / (4.0 * spec.ndim / spec.h**2 + vmax)
     if p.dt > bound * (1 + 1e-12):
         raise ConfigError(
@@ -267,11 +271,12 @@ def _diffuse_counts(counts: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
             for a in range(lo, hi, piece):
                 b = min(a + piece, hi)
                 moved[:, a:b] = rng.multinomial(m[a:b].astype(np.int64), pvals).T
-    out = np.zeros(counts.shape)
+    out = np.empty(counts.shape)
     k = 0
     for axis in range(nd):
         for step in (+1, -1):
-            _add_inflow(out, moved[k].reshape(counts.shape), lead + axis, step, spec.boundary)
+            _add_inflow(out, moved[k].reshape(counts.shape), lead + axis, step, spec.boundary,
+                        first=k == 0)
             k += 1
     return _exact(out)
 

@@ -13,6 +13,8 @@ conventions are supported:
 :func:`_add_inflow`, the inflow from one neighbor, is the one place that
 implements these rules; diffusion, the Laplacian, the mean-field step and
 the stochastic photon hop all accumulate their one-cell moves through it, in place.
+A neighbor sum that starts from nothing lets its first inflow write the
+buffer (``first``) instead of adding into zeros, with the same bits.
 """
 
 from __future__ import annotations
@@ -158,14 +160,17 @@ def cell_coords(index: int, spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(int(c) for c in np.unravel_index(index, spec.dims))
 
 
-def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary: Boundary) -> None:
+def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary: Boundary,
+                first: bool = False) -> None:
     """Add to ``total`` the mass arriving in each cell from its neighbor at
     ``-step`` along ``axis``, one cell away (``step`` is +1 or -1).
 
     Mass that would leave the lattice is wrapped (periodic), returned to the
     cell it left (reflecting) or dropped (absorbing).  The shift is one
     in-place add over the flattened arrays; then the two edge planes, where
-    that add crosses a row, are rewritten.
+    that add crosses a row, are rewritten.  With ``first`` the values in
+    ``total`` are not read but taken as zeros, and every cell is written:
+    ``src + 0.0`` has the bits of ``0 + src``, sign of zero included.
     """
     assert total.flags.c_contiguous, "an in-place shift needs a C-contiguous total"
     assert step in (1, -1), "an inflow comes from one neighbor"
@@ -179,14 +184,17 @@ def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary
 
     fwd = step > 0
     recv, leave = (plane(0), plane(n - 1)) if fwd else (plane(n - 1), plane(0))
-    saved = total[recv].copy()
+    saved = np.zeros_like(total[recv]) if first else total[recv].copy()
     if boundary is Boundary.REFLECTING:
         # one addend: what arrives from behind plus what bounces back
-        bounced = total[leave] + (v[plane(n - 2 if fwd else 1)] + v[leave])
+        bounced = (0.0 if first else total[leave]) + (v[plane(n - 2 if fwd else 1)] + v[leave])
     k = v.strides[axis] // v.itemsize
     flat, vflat = total.reshape(-1), v.reshape(-1)
     dst, src = (flat[k:], vflat[:-k]) if fwd else (flat[:-k], vflat[k:])
-    dst += src
+    if first:  # the cells dst leaves out all lie in the receiving plane
+        np.add(src, 0.0, out=dst)
+    else:
+        dst += src
     if boundary is Boundary.PERIODIC:
         saved += v[leave]
     total[recv] = saved
@@ -196,15 +204,18 @@ def _add_inflow(total: np.ndarray, v: np.ndarray, axis: int, step: int, boundary
 
 def _neighbor_sum(v: np.ndarray, boundary: Boundary, total=None) -> np.ndarray:
     """Sum of the 2d axis neighbors of every cell under the :func:`_add_inflow` rule,
-    added in place to ``total`` (zeros when None) and returned.
+    added in place to ``total`` and returned; with no ``total`` the first
+    inflow writes a new buffer, with the bits of a sum started from zeros.
 
     A reflecting edge counts the cell itself as its missing neighbor (the
     mass bounced back), an absorbing edge counts zero (the mass dropped).
     """
-    total = np.zeros(v.shape, v.dtype) if total is None else total
+    first = total is None
+    total = np.empty(v.shape, v.dtype) if first else total
     for axis in range(v.ndim):
         for step in (+1, -1):
-            _add_inflow(total, v, axis, step, boundary)
+            _add_inflow(total, v, axis, step, boundary, first)
+            first = False
     return total
 
 
@@ -245,8 +256,8 @@ def diffusion_coefficient(spec: LatticeSpec, stay_prob: float) -> float:
     return (1.0 - stay_prob) * spec.h**2 / (2 * spec.ndim)
 
 
-# every 4th cell along each axis, from 0, screens a relaxation sweep's convergence
-_SCREEN_STRIDE = 4
+# a source on at most 1/16 of the cells is added by index, not as a whole array
+_SPARSE_SOURCE = 16
 
 
 @dataclass
@@ -274,11 +285,18 @@ def relax_to_green(
     ``absorption`` must lie in [0, 2*stay_prob], where the sweep cannot grow
     (Gershgorin's theorem).
 
-    Each sweep first takes the relative change on every ``_SCREEN_STRIDE``-th
-    cell along each axis.  That is the same per-cell expression on a subset
-    of the cells, so its maximum is a lower bound on the full one: when it
-    reaches ``tol`` the sweep has not converged and the full test is skipped.
+    Each sweep first takes the relative change of one cell, the *leader*:
+    the cell where the last full test found the largest change (cell 0
+    before the first).  A single cell's change is a lower bound on the
+    largest, so when the leader's reaches ``tol`` the sweep has not
+    converged and the full test (:func:`_largest_change`) is skipped; the
+    leader's change is taken in Python floats, the same IEEE operations.  A
+    NaN compares False and takes the full test, and so does the last sweep.
     Sweep counts, fields and ``last_change`` are those of the full test alone.
+    A source on at most 1/16 of the cells is added on those cells alone.
+    The ``+= 0.0`` it skips elsewhere could only turn a -0.0 into +0.0, and
+    no sweep makes a -0.0 while the absorption is at most ``stay_prob``
+    (every value stays >= 0), so only then is the source added by index.
     """
     try:
         steps = operator.index(steps)
@@ -295,28 +313,45 @@ def relax_to_green(
         raise DomainError("source and absorption lattices differ")
     if not (source.values.min() >= 0 and source.values.max() < np.inf):  # NaN fails too
         raise DomainError("source must be finite and non-negative")
-    if not (absorption.values.min() >= 0 and absorption.values.max() <= 2 * stay_prob):
+    top = absorption.values.max()
+    if not (absorption.values.min() >= 0 and top <= 2 * stay_prob):
         raise DomainError(f"absorption must lie in [0, 2*stay_prob] = [0, {2 * stay_prob:g}]")
-    if not source.values.any():
+    support = np.flatnonzero(source.values)
+    if not support.size:
         return GreenResult(FieldGrid(spec), True, 0, 0.0)
-
-    def change_of(old, new):  # the maximum relative change |new - old| / max(|new|, 1e-300)
-        return float(np.max(np.abs(new - old) / np.maximum(np.abs(new), 1e-300)))
+    if support.size > spec.ncells // _SPARSE_SOURCE or top > stay_prob:
+        support = None
+    else:
+        strength = source.values.reshape(-1)[support]
 
     absorbs = absorption.values.any()
-    sample = (slice(None, None, _SCREEN_STRIDE),) * spec.ndim
+    lead = 0
     F = spec.zeros()
     for it in range(1, steps + 1):
         Fn = diffuse_field(FieldGrid(spec, F), stay_prob).values
-        Fn += source.values
+        if support is None:
+            Fn += source.values
+        else:
+            Fn.reshape(-1)[support] += strength
         if absorbs:
             Fn -= absorption.values * F
-        # the screen; a NaN sample compares False and takes the full test
-        if it < steps and change_of(F[sample], Fn[sample]) >= tol:
-            F = Fn
-            continue
-        change = change_of(F, Fn)
+        if it < steps:  # the screen
+            new, old = Fn.item(lead), F.item(lead)
+            if abs(new - old) / max(abs(new), 1e-300) >= tol:
+                F = Fn
+                continue
+        change, lead = _largest_change(F, Fn)
         F = Fn
         if change < tol:
             return GreenResult(FieldGrid(spec, F), True, it, change)
     return GreenResult(FieldGrid(spec, F), False, it, change)
+
+
+def _largest_change(old: np.ndarray, new: np.ndarray) -> tuple[float, int]:
+    """The largest relative change |new - old| / max(|new|, 1e-300) over the
+    cells, and the flat index of its cell: ``np.argmax`` takes the first NaN,
+    so a NaN anywhere is the value, as with ``np.max``."""
+    r = np.abs(new - old)
+    r /= np.maximum(np.abs(new), 1e-300)
+    i = int(np.argmax(r))
+    return r.item(i), i

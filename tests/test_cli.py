@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qswarm import read_frame, sample_from_wavefunction, scenario
+from qswarm import lattice, read_frame, sample_from_wavefunction, scenario
 from qswarm.cli import main
 
 
@@ -277,6 +277,27 @@ def test_green_test_coulomb_fit(tmp_path, capsys):
     assert float(report["MAX_REL_DEV"]) <= 0.10
 
 
+def test_green_test_screens_most_sweeps(tmp_path, capsys, monkeypatch):
+    """The one-cell screen leaves green-test's full convergence test, which
+    relax_to_green looks up on the lattice module, to a few of its sweeps."""
+    calls = []
+    inner = lattice._largest_change
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(lattice, "_largest_change", counted)
+    cfg = write_cfg(
+        tmp_path,
+        "lattice.dims = 19 19 19\nlattice.boundary = absorbing\n"
+        "initial.kind = delta\nstep.dt = 0.01\n",
+    )
+    code, report, _ = run_cli(capsys, "green-test", cfg, "--out", str(tmp_path))
+    assert code == 0 and report["ITERATIONS"] == "1951"
+    assert 1 <= len(calls) <= 8
+
+
 def test_green_test_zero_charge(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -315,6 +336,21 @@ def test_compare_identical_and_different(tmp_path, capsys):
     assert code == 0 and float(report["DENSITY_ERROR"]) == 0.0
     code, _, err = run_cli(capsys, "compare", str(a), str(c))
     assert code == 2 and "shape mismatch" in err
+
+
+def test_meanfield_potential_past_the_float_range_in_h_squared_exits_2(tmp_path, capsys):
+    """A mean-field run that passes the stability bound but whose h^2*max|V|
+    overflows exits 2 naming lattice.h and the potential, with no numpy
+    warning (pytest makes one an error)."""
+    cfg = write_cfg(
+        tmp_path,
+        "lattice.dims = 8\nlattice.boundary = reflecting\nlattice.h = 1e150\n"
+        "initial.kind = delta\npotential.kind = box\npotential.width = 4\n"
+        "potential.v0 = 1e10\nstep.dt = 1e-300\nrun.mode = meanfield\nrun.steps = 1\n",
+    )
+    code, _, err = run_cli(capsys, "run", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and "lattice.h" in err and "potential" in err
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):

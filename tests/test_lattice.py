@@ -240,12 +240,49 @@ def test_neighbor_sum_adds_into_a_given_buffer(shape, boundary):
     assert np.array_equal(total, expected)
 
 
+@pytest.mark.parametrize("shape, boundary", _stencil_cases())
+def test_first_inflow_writes_the_bits_of_a_sum_from_zeros(shape, boundary):
+    """With no buffer given, the neighbor sum lets its first inflow write a
+    new buffer; on signed inputs full of -0.0 it has the bits of the sum
+    started from zeros, which turns a -0.0 into +0.0.  So does one inflow
+    with ``first`` into a buffer of NaNs."""
+    rng = np.random.default_rng(9)
+    real = rng.standard_normal(shape)
+    real[rng.random(shape) < 0.6] = -0.0
+    imag = rng.standard_normal(shape)
+    imag[rng.random(shape) < 0.6] = -0.0
+    for kind, v in {"float": real, "complex": real + 1j * imag}.items():
+        v = v.copy()
+        if kind == "complex":  # x + 1j*y makes +0.0 of a -0.0 real part
+            v.real[real == 0] = -0.0
+        assert np.signbit(v.real[v.real == 0]).any()
+        expected = np.zeros(shape, v.dtype)
+        for axis in range(len(shape)):
+            for step in (+1, -1):
+                _add_inflow(expected, v, axis, step, boundary)
+        got = _neighbor_sum(v, boundary)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), kind
+        for axis in range(len(shape)):
+            for step in (+1, -1):
+                one = np.zeros(shape, v.dtype)
+                _add_inflow(one, v, axis, step, boundary)
+                first = np.full(shape, np.nan, v.dtype)
+                _add_inflow(first, v, axis, step, boundary, first=True)
+                assert np.array_equal(first.view(np.uint64), one.view(np.uint64)), (kind, axis)
+
+
 A, P, R = Boundary.ABSORBING, Boundary.PERIODIC, Boundary.REFLECTING
-# id: dims, boundary, absorption, source cell.  Periodic and reflecting
-# lattices need an absorption > 0 to have a fixed point.  An off-centre
-# source is two cells along each axis from the nearest cell that screens a
-# sweep's convergence (every 4th along each axis), so the first sweeps pass
-# the screen, on zeros, and fail the full test.
+# id: dims, boundary, absorption, source: a cell of strength 2, a dict of
+# cells and strengths, or "dense" (random strengths on every cell but every
+# 3rd, which holds -0.0).  Periodic and reflecting lattices need an
+# absorption > 0 to have a fixed point.  A sweep is screened on one cell,
+# the leader, which starts at cell 0; an off-centre source is away from it,
+# so the first sweep's screen reads a change of 0 and takes the full test.
+# A dense source (more than 1/16 of the cells) is added as a whole array,
+# a sparse one by index; an absorption above stay_prob (0.5) adds even a
+# point source as a whole array.  The two-point sources of unequal strength
+# sit in opposite corners, so the cell that converges last, and with it
+# the leader, moves between full tests.
 GREEN_CASES = {
     "3d-absorbing-centre": ((9, 9, 9), A, 0.0, (4, 4, 4)),
     "3d-absorbing-centre-absorption": ((9, 9, 9), A, 0.02, (4, 4, 4)),
@@ -258,7 +295,32 @@ GREEN_CASES = {
     "3d-absorbing": ((9, 7, 10), A, 0.0, (6, 2, 6)),
     "3d-periodic": ((9, 7, 10), P, 0.02, (6, 2, 6)),
     "3d-reflecting": ((9, 7, 10), R, 0.02, (6, 2, 6)),
+    "1d-absorbing-line": ((40,), A, 0.02, (11,)),
+    "1d-periodic-line-two-point": ((40,), P, 0.02, {(1,): 1.0, (33,): 4.0}),
+    "2d-absorbing-dense": ((13, 10), A, 0.0, "dense"),
+    "3d-periodic-dense": ((9, 7, 10), P, 0.02, "dense"),
+    "3d-reflecting-dense": ((9, 7, 10), R, 0.02, "dense"),
+    "2d-absorbing-two-point": ((13, 10), A, 0.0, {(1, 1): 1.0, (11, 8): 3.0}),
+    "2d-periodic-two-point": ((13, 10), P, 0.02, {(1, 1): 1.0, (11, 8): 3.0}),
+    "2d-reflecting-two-point": ((13, 10), R, 0.02, {(1, 1): 1.0, (11, 8): 3.0}),
+    "3d-absorbing-two-point": ((9, 7, 10), A, 0.0, {(1, 1, 1): 0.5, (7, 5, 8): 2.0}),
+    "3d-periodic-two-point": ((9, 7, 10), P, 0.02, {(1, 1, 1): 0.5, (7, 5, 8): 2.0}),
+    "3d-reflecting-two-point": ((9, 7, 10), R, 0.02, {(1, 1, 1): 0.5, (7, 5, 8): 2.0}),
+    "2d-reflecting-above-stay": ((13, 10), R, 0.9, (6, 2)),
 }
+
+
+def _green_source(spec, where):
+    src = spec.zeros()
+    if isinstance(where, str):
+        src[...] = np.random.default_rng(8).random(spec.dims)
+        src.reshape(-1)[::3] = -0.0
+    elif isinstance(where, dict):
+        for cell, strength in where.items():
+            src[cell] = strength
+    else:
+        src[where] = 2.0
+    return src
 
 
 @pytest.mark.parametrize("steps", [5000, 3, 40])
@@ -267,10 +329,9 @@ def test_green_matches_plain_loop(case, steps):
     """relax_to_green's screened sweep gives the iteration count,
     the last change and the field of the plain iteration
     F <- diffuse(F) + source - absorption*F, converged or cut by ``steps``."""
-    dims, boundary, absorbing, cell = GREEN_CASES[case]
+    dims, boundary, absorbing, where = GREEN_CASES[case]
     spec = LatticeSpec(dims, boundary=boundary)
-    src = spec.zeros()
-    src[cell] = 2.0
+    src = _green_source(spec, where)
     absorb = np.full(spec.dims, absorbing)
     res = relax_to_green(FieldGrid(spec, src), FieldGrid(spec, absorb), 0.5, steps, tol=1e-9)
     F = spec.zeros()
@@ -284,6 +345,7 @@ def test_green_matches_plain_loop(case, steps):
     assert res.iterations == it
     assert res.last_change == change
     assert np.array_equal(res.field.values, F)
+    assert res.field.values.tobytes() == F.tobytes()  # signs of zero too
 
 
 def test_green_sweeps_once_through_diffuse_field(monkeypatch):
